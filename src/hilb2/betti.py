@@ -1,28 +1,33 @@
 """Betti numbers of the symmetric square, the configuration space, and the
 Hilbert square, plus integral homology of the symmetric square.
 
-All counts are driven by the degrees v_1, ..., v_N of the mod-2 basis of X
-(pairs and ladder classes), except for the exact-sequence route to the
-Hilbert square, which also uses the kernel computed from the Sq action:
+Every table here but the exact-sequence route depends only on the Betti
+row b_k of X, following Macdonald's count for symmetric products. Each is a
+sum of the two counters in spaces, so its cost follows the 2n + 1 degrees
+of X rather than the basis size:
+
+  pair_counts     unordered pairs of distinct classes, the coefficients of
+                  (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k
+  ladder_counts   b_v classes in each degree of a ladder chosen per degree v
+
+The closed form (valid when Sq^1 = 0) counts the pairs, the diagonal pair
+of each even class, and the ladder v + 2p for 1 <= p <= n-1. The exact
+sequence also uses the kernel K computed from the Sq action:
 
   dim H^m(Hilb) = (E[m-2] - K[m-2]) + (C[m] - K[m-1])
 
 where E, C are the tables for the exceptional divisor and the complement of
-the diagonal in the symmetric square, and K is the kernel dimension. The
-closed form (valid when Sq^1 = 0) instead counts unordered pairs i <= j,
-skipping the diagonal in odd degrees, plus ladder classes v_i + 2p for
-1 <= p <= n-1.
+the diagonal in the symmetric square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 from . import kernel, steenrod
 from .exdiv import betti_exceptional
-from .spaces import BettiTable, ManifoldDescriptor
+from .spaces import BettiTable, ManifoldDescriptor, ladder_counts, pair_counts
 from .steenrod import Sq1NotZero
 
 
@@ -71,25 +76,16 @@ class Hilb2TorsionFlags:
     torsion_free_even: bool
 
 
-def _degrees(d: ManifoldDescriptor) -> list[int]:
-    return [deg for _, deg in d.module.basis]
+def _even_diagonal(v: int) -> tuple:
+    """The diagonal pair (i, i) of a class of degree v, kept for even v."""
+    return () if v % 2 else (2 * v,)
 
 
 def betti_config(d: ManifoldDescriptor) -> BettiTable:
     """The complement of the diagonal in the symmetric square: unordered
     pairs of distinct basis classes, plus one class in degree 2 v_i + j for
     each i and 0 <= j <= 2n - 1 - v_i."""
-    degs = _degrees(d)
-    dims: dict[int, int] = {}
-
-    def bump(k: int) -> None:
-        dims[k] = dims.get(k, 0) + 1
-
-    for x, y in combinations(degs, 2):
-        bump(x + y)
-    for v in degs:
-        for j in range(2 * d.n - v):
-            bump(2 * v + j)
+    dims = pair_counts(d) + ladder_counts(d, lambda v: range(2 * v, v + 2 * d.n))
     return BettiTable("config", 4 * d.n - 1, dims, noncompact=not d.compact)
 
 
@@ -97,27 +93,15 @@ def betti_sym2_f2(d: ManifoldDescriptor) -> BettiTable:
     """Mod-2 homology of the symmetric square: unordered pairs of distinct
     classes, one class in every degree v_i + 2 .. 2 v_i for v_i > 0, and the
     diagonal point class for v_i = 0."""
-    degs = _degrees(d)
-    dims: dict[int, int] = {}
-
-    def bump(k: int) -> None:
-        dims[k] = dims.get(k, 0) + 1
-
-    for x, y in combinations(degs, 2):
-        bump(x + y)
-    for v in degs:
-        if v == 0:
-            bump(0)
-        else:
-            for k in range(v + 2, 2 * v + 1):
-                bump(k)
+    dims = pair_counts(d) + ladder_counts(
+        d, lambda v: range(v + 2, 2 * v + 1) if v else (0,))
     return BettiTable("sym2", 4 * d.n, dims, noncompact=not d.compact)
 
 
 def integral_sym2(d: ManifoldDescriptor) -> GroupProfile:
     """Integral homology of the symmetric square of a torsion-free X:
-    a Z for every unordered pair i <= j except odd diagonals, and Z/2
-    ladders below each diagonal square.
+    a Z for every unordered pair i <= j except odd diagonals, and for each
+    class of degree v a Z/2 in degrees v + 2, v + 4, ... below 2v.
 
     >>> import json
     >>> from hilb2.spaces import load_descriptor
@@ -132,20 +116,9 @@ def integral_sym2(d: ManifoldDescriptor) -> GroupProfile:
     if not d.integral.torsion_free:
         raise TorsionFlagRequired(
             f"{d.name}: integral_sym2 needs integral.torsion_free = true")
-    degs = _degrees(d)
-    free: dict[int, int] = {}
-    tors: dict[int, int] = {}
-    for i, x in enumerate(degs):
-        for y in degs[i + 1:]:
-            free[x + y] = free.get(x + y, 0) + 1
-    for v in degs:
-        if v % 2 == 0:
-            free[2 * v] = free.get(2 * v, 0) + 1
-        stop = 2 * v - 2 if v % 2 == 0 else 2 * v - 1
-        for k in range(v + 2, stop + 1, 2):
-            tors[k] = tors.get(k, 0) + 1
-    groups = {k: (free.get(k, 0), tors.get(k, 0))
-              for k in set(free) | set(tors)}
+    free = pair_counts(d) + ladder_counts(d, _even_diagonal)
+    tors = ladder_counts(d, lambda v: range(v + 2, 2 * v, 2))
+    groups = {k: (free[k], tors[k]) for k in free.keys() | tors.keys()}
     return GroupProfile("sym2", 4 * d.n, groups)
 
 
@@ -177,20 +150,8 @@ def betti_hilb2_closed(d: ManifoldDescriptor) -> BettiTable:
     """
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(f"{d.name}: closed form requires Sq^1 = 0")
-    degs = _degrees(d)
-    dims: dict[int, int] = {}
-
-    def bump(k: int) -> None:
-        dims[k] = dims.get(k, 0) + 1
-
-    for i, x in enumerate(degs):
-        for j, y in enumerate(degs[i:], start=i):
-            if i == j and x % 2:
-                continue
-            bump(x + y)
-    for v in degs:
-        for p in range(1, d.n):
-            bump(v + 2 * p)
+    dims = (pair_counts(d) + ladder_counts(d, _even_diagonal)
+            + ladder_counts(d, lambda v: range(v + 2, v + 2 * d.n, 2)))
     return BettiTable("hilb2", 4 * d.n, dims, noncompact=not d.compact)
 
 

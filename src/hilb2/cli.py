@@ -88,6 +88,7 @@ def cmd_validate(args) -> int:
     d = spaces.parse_descriptor(_read_source(args.path))
     rep = spaces.descriptor_violations(d)
     if rep.ok and not rep.entries:
+        rep = Report()  # the violations report is shared; never extend it
         rep.add("validate", "pass", "no axiom or invariant violations")
     _print_report(rep, args.json)
     return 0 if rep.ok else 2

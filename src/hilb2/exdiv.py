@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import steenrod
 from .gf2 import F2Vector
-from .spaces import BettiTable, ManifoldDescriptor
+from .spaces import BettiTable, ManifoldDescriptor, ladder_counts
 
 
 class OutOfRange(ValueError):
@@ -171,13 +171,8 @@ def hilb_restriction(d: ManifoldDescriptor, u: F2Vector) -> ExClass:
 
 def betti_exceptional(d: ManifoldDescriptor) -> BettiTable:
     """Mod-2 Betti numbers of E: n shifted copies of those of X."""
-    top = 4 * d.n - 2
-    dims: dict[int, int] = {}
-    for _, deg in d.module.basis:
-        for j in range(d.n):
-            k = deg + 2 * j
-            dims[k] = dims.get(k, 0) + 1
-    return BettiTable("exceptional", top, dims, noncompact=not d.compact)
+    dims = ladder_counts(d, lambda v: range(v, v + 2 * d.n, 2))
+    return BettiTable("exceptional", 4 * d.n - 2, dims, noncompact=not d.compact)
 
 
 def format_exclass(c: ExClass, unit: str | None = None) -> str:

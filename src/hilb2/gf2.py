@@ -9,17 +9,10 @@ caller fixed (basis declaration order throughout this package).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable
 
-
-class Graded(Protocol):
-    """What the span helpers need: a degree, monomial keys, and a zero test."""
-
-    degree: int
-
-    def monomials(self) -> Iterable[Hashable]: ...
-
-    def is_zero(self) -> bool: ...
+if TYPE_CHECKING:
+    from .exdiv import ExClass
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class F2Matrix:
 
     >>> F2Matrix((0, 1, 2), (0b011, 0b110, 0b101)).rank()
     2
-    >>> F2Matrix((0, 1), (0b01, 0b10, 0b11)).transpose().rank()
+    >>> F2Matrix((0, 1), (0b01, 0b10, 0b11)).rank()
     2
     """
 
@@ -92,7 +85,7 @@ class F2Matrix:
     rows: tuple
 
     @classmethod
-    def from_elements(cls, elements: Iterable[Graded],
+    def from_elements(cls, elements: Iterable[F2Vector | ExClass],
                       column_key: Callable | None = None) -> "F2Matrix":
         """Pack same-degree elements into a matrix, columns sorted by column_key."""
         elems = list(elements)
@@ -107,21 +100,8 @@ class F2Matrix:
     def rank(self) -> int:
         return _rank_of_rows(self.rows)
 
-    def transpose(self) -> "F2Matrix":
-        n = len(self.columns)
-        cols = tuple(range(len(self.rows)))
-        new_rows = tuple(
-            sum(((row >> j) & 1) << i for i, row in enumerate(self.rows))
-            for j in range(n))
-        return F2Matrix(cols, new_rows)
 
-
-def rank(m: F2Matrix) -> int:
-    """Rank of a bit matrix over the two-element field."""
-    return m.rank()
-
-
-def span_dims_by_degree(elements: Iterable[Graded],
+def span_dims_by_degree(elements: Iterable[F2Vector | ExClass],
                         column_key: Callable | None = None) -> dict[int, int]:
     """Dimension of the span of homogeneous elements, one entry per degree.
 
@@ -132,7 +112,7 @@ def span_dims_by_degree(elements: Iterable[Graded],
     >>> span_dims_by_degree([a, a, b])
     {2: 2}
     """
-    by_degree: dict[int, list[Graded]] = {}
+    by_degree: dict[int, list] = {}
     for el in elements:
         if el.is_zero():
             continue
@@ -141,20 +121,3 @@ def span_dims_by_degree(elements: Iterable[Graded],
         d: F2Matrix.from_elements(els, column_key).rank()
         for d, els in sorted(by_degree.items())
     }
-
-
-def contains(span: Iterable[Graded], w: Graded,
-             column_key: Callable | None = None) -> bool:
-    """Whether w lies in the span of the given homogeneous elements.
-
-    >>> x, y = F2Vector(1, frozenset({"x"})), F2Vector(1, frozenset({"y"}))
-    >>> contains([x + y, y], x)
-    True
-    >>> contains([x + y], x)
-    False
-    """
-    if w.is_zero():
-        return True
-    rows = [el for el in span if not el.is_zero() and el.degree == w.degree]
-    base = F2Matrix.from_elements(rows, column_key).rank()
-    return F2Matrix.from_elements(rows + [w], column_key).rank() == base

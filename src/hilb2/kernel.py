@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import exdiv, gf2, steenrod
 from .exdiv import ExClass
 from .report import FAIL, PASS, Report
-from .spaces import ManifoldDescriptor
+from .spaces import ManifoldDescriptor, once
 from .steenrod import Sq1NotZero
 
 MODES = ("all", "families12")
@@ -52,22 +52,26 @@ def kernel_generators(d: ManifoldDescriptor,
     """All generators in declaration order of u, families inner, j innermost.
 
     mode "families12" keeps only the even-square ladders (the basis in the
-    Sq^1 = 0 case); mode "all" emits all four families.
+    Sq^1 = 0 case); mode "all" emits all four families. The list is built
+    once per descriptor; each call returns a fresh copy.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    gens = once(d, "kernel_generators", lambda: _build_generators(d))
+    return list(gens) if mode == "all" else [g for g in gens if g.family <= 2]
+
+
+def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     out: list[KernelGenerator] = []
     for name, deg in d.module.basis:
         u = d.module.basis_vector(name)
         a = deg // 2
         if deg % 2 == 0:
-            ladders = [(1, exdiv.boundary_with_b(d, u), d.n - 1 - a)]
-            if mode == "all":
-                ladders.append((3, exdiv.boundary_no_b(d, u), d.n - 1 - a))
+            ladders = [(1, exdiv.boundary_with_b(d, u), d.n - 1 - a),
+                       (3, exdiv.boundary_no_b(d, u), d.n - 1 - a)]
         else:
-            ladders = [(2, exdiv.boundary_no_b(d, u), d.n - 1 - a)]
-            if mode == "all":
-                ladders.append((4, exdiv.boundary_with_b(d, u), d.n - 2 - a))
+            ladders = [(2, exdiv.boundary_no_b(d, u), d.n - 1 - a),
+                       (4, exdiv.boundary_with_b(d, u), d.n - 2 - a)]
         for family, base, j_max in ladders:
             value = base
             for j in range(j_max + 1):
@@ -87,8 +91,9 @@ def kernel_dimensions(d: ManifoldDescriptor, mode: str = "all") -> dict[int, int
     {0: 1, 1: 1, 2: 2, 3: 2, 4: 12, 5: 1}
     """
     gens = kernel_generators(d, mode)
-    return gf2.span_dims_by_degree([g.value for g in gens if not g.is_zero],
-                                   column_key=_column_key(d))
+    dims = once(d, ("kernel_dimensions", mode), lambda: gf2.span_dims_by_degree(
+        [g.value for g in gens if not g.is_zero], column_key=_column_key(d)))
+    return dict(dims)
 
 
 def redundant_degrees(d: ManifoldDescriptor) -> dict[int, tuple[int, int]]:

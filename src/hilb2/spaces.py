@@ -13,13 +13,14 @@ A descriptor presents the mod-2 cohomology of a complex n-fold X:
                    "even_degrees_only": false}                      (optional)
     }
 
-Class names are nonempty ASCII and unique; degrees live in [0, 2n]. The sq
-list gives the nonzero values of Sq^k on basis classes; an absent pair means
-zero. The cup list, if present, is a complete symmetric product table over
-positive-degree classes (absent pairs multiply to zero; products with the
-unique degree-0 class are implicit). The integral flags describe the
-integral cohomology of X and default to false. Unknown keys are rejected
-everywhere.
+Class names are nonempty ASCII and unique; degrees live in [0, 2n], and
+below 2n when X is noncompact (H^2n of a connected noncompact manifold of
+real dimension 2n vanishes). The sq list gives the nonzero values of Sq^k
+on basis classes; an absent pair means zero. The cup list, if present, is
+a complete symmetric product table over positive-degree classes (absent
+pairs multiply to zero; products with the unique degree-0 class are
+implicit). The integral flags describe the integral cohomology of X and
+default to false. Unknown keys are rejected everywhere.
 
 load_descriptor returns a fully validated descriptor or raises:
 DescriptorError (with a location) for structural problems, InvalidDescriptor
@@ -29,8 +30,9 @@ DescriptorError (with a location) for structural problems, InvalidDescriptor
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from . import steenrod
 from .report import FAIL, Report
@@ -68,6 +70,20 @@ class ManifoldDescriptor:
     compact: bool
     module: UnstableModule
     integral: IntegralFlags
+    # per-descriptor results of the shared stages; see once()
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+
+def once(d: ManifoldDescriptor, key, compute: Callable):
+    """compute(), run on the first call for this descriptor and key only.
+
+    The stored value is shared by every later caller, so treat it as
+    read-only.
+    """
+    if key not in d._memo:
+        d._memo[key] = compute()
+    return d._memo[key]
 
 
 @dataclass(frozen=True)
@@ -228,7 +244,14 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
 
 
 def descriptor_violations(d: ManifoldDescriptor) -> Report:
-    """Module axioms plus descriptor-level invariants, as one report."""
+    """Module axioms plus descriptor-level invariants, as one report.
+
+    Computed once per descriptor; the returned report is shared.
+    """
+    return once(d, "violations", lambda: _violations(d))
+
+
+def _violations(d: ManifoldDescriptor) -> Report:
     rep = steenrod.validate(d.module)
     units = d.module.classes_in_degree(0)
     if len(units) != 1:
@@ -238,6 +261,11 @@ def descriptor_violations(d: ManifoldDescriptor) -> Report:
         if deg > 2 * d.n:
             rep.add("degree-range", FAIL,
                     f"class {name!r} has degree {deg} above 2n = {2 * d.n}")
+        elif deg == 2 * d.n and not d.compact:
+            rep.add("degree-range", FAIL,
+                    f"class {name!r} has degree 2n = {deg}, but H^{deg} of a "
+                    "connected noncompact manifold of real dimension "
+                    f"{deg} vanishes")
     if d.compact:
         table = betti_of_x(d)
         if len(d.module.classes_in_degree(2 * d.n)) != 1:
@@ -291,9 +319,30 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
+def pair_counts(d: ManifoldDescriptor) -> Counter:
+    """Unordered pairs of distinct basis classes of X by total degree: the
+    coefficients of (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k."""
+    b = Counter(deg for _, deg in d.module.basis)
+    twice = Counter()
+    for x in b:
+        for y in b:
+            twice[x + y] += b[x] * b[y]
+        twice[2 * x] -= b[x]
+    return Counter({k: v // 2 for k, v in twice.items() if v})
+
+
+def ladder_counts(d: ManifoldDescriptor,
+                  ladder: Callable[[int], Iterable[int]]) -> Counter:
+    """b_v classes in every degree of ladder(v), summed over the degrees v
+    of the basis of X."""
+    out = Counter()
+    for v, b_v in Counter(deg for _, deg in d.module.basis).items():
+        for k in ladder(v):
+            out[k] += b_v
+    return out
+
+
 def betti_of_x(d: ManifoldDescriptor) -> BettiTable:
     """Mod-2 Betti numbers of X itself: one count per basis degree."""
-    dims: dict[int, int] = {}
-    for _, deg in d.module.basis:
-        dims[deg] = dims.get(deg, 0) + 1
-    return BettiTable("x", 2 * d.n, dims, noncompact=not d.compact)
+    return BettiTable("x", 2 * d.n, ladder_counts(d, lambda v: (v,)),
+                      noncompact=not d.compact)

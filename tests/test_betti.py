@@ -2,6 +2,7 @@
 Hilbert square, plus the integral profile of the symmetric square."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,8 +10,10 @@ from conftest import make_descriptor, sphere
 from hilb2 import (
     TorsionFlagRequired,
     betti_config,
+    betti_exceptional,
     betti_hilb2_closed,
     betti_hilb2_exact,
+    betti_of_x,
     betti_sym2_f2,
     catalog_get,
     catalog_names,
@@ -148,3 +151,77 @@ def test_torsion_flags_propagate():
     flags = torsion_flags_hilb2(catalog_get("elliptic_y"))
     assert (flags.no_2_torsion, flags.no_torsion, flags.torsion_free_even) == \
         (False, False, False)
+
+
+# Reference counts: enumerate basis classes and pairs one by one, with no
+# use of the Betti-row counters in hilb2.spaces.
+
+def _bump(dims, k, by=1):
+    dims[k] = dims.get(k, 0) + by
+
+
+def reference_tables(d):
+    """Every degree-only table of d, counted class by class and pair by pair."""
+    degs = [deg for _, deg in d.module.basis]
+    n = d.n
+    x, ex, sym2, config, closed, free, tors = {}, {}, {}, {}, {}, {}, {}
+    for a, b in combinations(degs, 2):
+        for table in (sym2, config, closed, free):
+            _bump(table, a + b)
+    for v in degs:
+        _bump(x, v)
+        for j in range(n):
+            _bump(ex, v + 2 * j)
+        if v == 0:
+            _bump(sym2, 0)
+        for k in range(v + 2, 2 * v + 1):
+            _bump(sym2, k)
+        for j in range(2 * n - v):
+            _bump(config, 2 * v + j)
+        if v % 2 == 0:
+            _bump(closed, 2 * v)
+            _bump(free, 2 * v)
+        for p in range(1, n):
+            _bump(closed, v + 2 * p)
+        stop = 2 * v - 2 if v % 2 == 0 else 2 * v - 1
+        for k in range(v + 2, stop + 1, 2):
+            _bump(tors, k)
+    groups = {k: (free.get(k, 0), tors.get(k, 0)) for k in set(free) | set(tors)}
+    return {"x": x, "exceptional": ex, "sym2": sym2, "config": config,
+            "closed": closed, "integral": groups}
+
+
+def counted_tables(d):
+    return {"x": betti_of_x(d).dims, "exceptional": betti_exceptional(d).dims,
+            "sym2": betti_sym2_f2(d).dims, "config": betti_config(d).dims,
+            "closed": betti_hilb2_closed(d).dims,
+            "integral": integral_sym2(d).groups}
+
+
+def random_row(rng, n, compact):
+    """A Betti row with repeated and odd degrees; palindromic with one top
+    class when compact, and empty in degree 2n otherwise."""
+    row = [1] + [rng.randrange(4) for _ in range(2 * n - 1)] + [0]
+    if compact:
+        row[2 * n] = 1
+        for k in range(n + 1, 2 * n):
+            row[k] = row[2 * n - k]
+    return row
+
+
+def test_degree_only_tables_match_the_class_by_class_reference():
+    rng = random.Random(23)
+    flags = {"two_torsion_free": True, "torsion_free": True}
+    seen_odd = seen_repeat = 0
+    for trial in range(60):
+        n = rng.randrange(1, 6)
+        compact = trial % 2 == 0
+        row = random_row(rng, n, compact)
+        degrees = [k for k, b in enumerate(row) for _ in range(b)]
+        rng.shuffle(degrees)  # declaration order must not matter
+        d = make_descriptor(n=n, degrees=degrees, compact=compact,
+                            integral=flags)
+        assert counted_tables(d) == reference_tables(d), (n, compact, row)
+        seen_odd += any(k % 2 for k in degrees)
+        seen_repeat += len(set(degrees)) < len(degrees)
+    assert seen_odd and seen_repeat

@@ -49,6 +49,20 @@ def test_validate_axiom_violation_exits_two(tmp_path, capsys):
     assert "[fail] instability" in out
 
 
+def test_noncompact_class_in_degree_2n_exits_two_with_a_report(tmp_path,
+                                                                capsys):
+    obj = {"name": "two_top", "complex_dimension": 1, "compact": False,
+           "classes": [{"name": "1", "degree": 0}, {"name": "a", "degree": 2},
+                       {"name": "b", "degree": 2}]}
+    path = write_descriptor(tmp_path, obj)
+    for argv in (["validate", path], ["check", path],
+                 ["betti", path, "--space", "config"],
+                 ["betti", path, "--space", "hilb2"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 2, argv
+        assert out.count("[fail] degree-range") == 2, argv
+
+
 def test_validate_json_flag(capsys):
     code, out, _ = run(["validate", "k3", "--json"], capsys)
     assert code == 0

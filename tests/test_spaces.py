@@ -151,6 +151,15 @@ def test_degree_range_enforced():
     with pytest.raises(InvalidDescriptor) as exc:
         make_descriptor(n=1, degrees=[0, 2, 3], compact=False)
     assert any(e.check == "degree-range" for e in exc.value.report.failures)
+    # H^2n of a connected noncompact 2n-manifold vanishes
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_descriptor(n=1, degrees=[0, 2, 2], compact=False)
+    failures = exc.value.report.failures
+    assert [e.check for e in failures] == ["degree-range", "degree-range"]
+    assert "noncompact" in failures[0].details
+    # one degree lower is fine, and so is the top class of a compact input
+    assert not make_descriptor(n=1, degrees=[0, 1, 1], compact=False).compact
+    assert make_descriptor(n=1, degrees=[0, 2]).compact
 
 
 def test_compactness_needs_palindromic_row_and_unique_top():

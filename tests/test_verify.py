@@ -1,15 +1,25 @@
 """The consistency suite and its individual checks."""
 
+from collections import Counter
+
+import pytest
+
 from conftest import make_descriptor
 from hilb2 import (
     BettiTable,
     betti_hilb2_exact,
     catalog_get,
     catalog_names,
+    catalog_text,
     check_duality,
     check_euler,
+    cli,
+    gf2,
+    kernel,
     known_answers,
+    load_descriptor,
     run_suite,
+    steenrod,
 )
 
 
@@ -118,3 +128,30 @@ def test_run_suite_notes_redundant_kernel_degrees():
     assert entry(rep, "kernel-redundancy").status == "note"
     payload = entry(rep, "kernel-redundancy").details
     assert payload["degrees"] == {"3": {"generators": 2, "dimension": 1}}
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Count the runs of validation, generator construction and span rank."""
+    calls = Counter()
+    for module, name in ((steenrod, "validate"),
+                         (kernel, "_build_generators"),
+                         (gf2, "span_dims_by_degree")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+ONCE = {"validate": 1, "_build_generators": 1, "span_dims_by_degree": 1}
+
+
+def test_check_runs_each_stage_once(stage_calls, capsys):
+    assert cli.main(["check", "k3"]) == 0
+    assert stage_calls == ONCE
+
+
+def test_suite_on_a_loaded_descriptor_runs_each_stage_once(stage_calls):
+    assert run_suite(load_descriptor(catalog_text("enriques_x"))).ok
+    assert stage_calls == ONCE
