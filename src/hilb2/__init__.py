@@ -34,7 +34,7 @@ from .exdiv import (
     hilb_restriction,
     zero_class,
 )
-from .gf2 import F2Matrix, F2Vector, span_dims_by_degree
+from .gf2 import F2Vector, span_dims_by_degree
 from .kernel import (
     KernelGenerator,
     corollary_check,
@@ -65,7 +65,6 @@ __all__ = [
     "BettiTable",
     "DescriptorError",
     "ExClass",
-    "F2Matrix",
     "F2Vector",
     "GroupProfile",
     "Hilb2TorsionFlags",

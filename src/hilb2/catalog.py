@@ -1,8 +1,9 @@
 """Built-in descriptors: p1, p2, p3, k3, enriques_x, elliptic_y.
 
-The projective spaces carry their full cup tables and the one nonzero square
-Sq^2 h = h^2. The K3 surface has an even intersection form, so Sq^2 vanishes
-on H^2 and no cup table is needed for any output of this package.
+The projective spaces carry their full cup tables and the squares
+Sq^(2i) h^k = C(k, i) h^(k+i); up to P^3 the only nonzero one is
+Sq^2 h = h^2. The K3 surface has an even intersection form, so Sq^2
+vanishes on H^2 and no cup table is needed for any output of this package.
 
 enriques_x is an Enriques surface. Its integral cohomology (Z/2 in H^2 and
 H^3, free elsewhere) forces rank Sq^1 = 1, 1, 0 on H^1, H^2, H^3, which the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from math import comb
 
 from .spaces import ManifoldDescriptor, load_descriptor
 
@@ -43,9 +45,11 @@ def _projective(name: str, n: int) -> dict:
         "compact": True,
         "classes": [{"name": cls, "degree": deg[cls]} for cls in h],
     }
-    # Sq^2 h^k = binom(k, 1) h^(k+1); only k = 1 survives mod 2 within reach
-    if n >= 2:
-        entry["sq"] = [{"k": 2, "from": "h", "to": ["h2"]}]
+    sq = [{"k": 2 * i, "from": h[k], "to": [h[k + i]]}
+          for k in range(1, n + 1) for i in range(1, k + 1)
+          if k + i <= n and comb(k, i) % 2]  # Sq^(2i) h^k = C(k, i) h^(k+i)
+    if sq:
+        entry["sq"] = sq
     if cup:
         entry["cup"] = cup
     entry["integral"] = {"two_torsion_free": True, "torsion_free": True,

@@ -33,13 +33,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_source(arg: str) -> str:
     """Descriptor text from a file path, else from the catalog by name."""
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
     try:
+        if os.path.exists(arg):
+            with open(arg, "r", encoding="utf-8") as fh:
+                return fh.read()
         return catalog_text(arg)
     except UnknownCatalogName:
         raise _InputError(f"no file or catalog entry named {arg!r}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{arg!r} is not UTF-8 text: {exc.reason} at "
+                          f"byte {exc.start}") from None
 
 
 def _load(arg: str) -> ManifoldDescriptor:
@@ -148,13 +151,12 @@ def cmd_kernel(args) -> int:
     else:
         print(" ".join(f"{k}:{v}" for k, v in sorted(dims.items())))
     if args.generators:
-        unit = d.module.unit()
         for g in kernel.kernel_generators(d):
             if g.is_zero:
                 continue
             if args.degree is not None and g.value.degree != args.degree:
                 continue
-            rendered = exdiv.format_exclass(g.value, unit)
+            rendered = exdiv.format_exclass(d, g.value)
             print(f"degree {g.value.degree}: family {g.family}, "
                   f"u={g.source}, j={g.j}: {rendered}")
     return 0
@@ -190,6 +192,9 @@ def cmd_catalog(args) -> int:
         text = catalog_text(args.name)
     except UnknownCatalogName:
         raise _InputError(f"unknown catalog entry {args.name!r}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"catalog entry {args.name!r} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from None
     if args.action == "export":
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

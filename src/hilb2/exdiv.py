@@ -3,7 +3,8 @@
 E is the projectivized cotangent bundle of the n-fold X, so its mod-2
 cohomology is a free module over that of X on 1, e, ..., e^(n-1), where e is
 the hyperplane class. An ExClass stores one homogeneous element as the tuple
-of its coefficients c_0, ..., c_(n-1), meaning sum_j e^j c_j.
+of its coefficients c_0, ..., c_(n-1), meaning sum_j e^j c_j; each c_j is a
+basis bitmask of H*(X; F_2), bit i for basis class i.
 
 The boundary of the punctured symmetric square of a tubular neighbourhood of
 a closed Z in X with mod-2 Thom class u of degree r, and of its double cover
@@ -39,22 +40,18 @@ class ExClass:
     """Homogeneous element of H*(E;F2): coefficients of 1, e, ..., e^(n-1)."""
 
     degree: int
-    coeffs: tuple  # n F2Vectors, coeffs[j] in degree self.degree - 2j
+    coeffs: tuple  # n basis masks, coeffs[j] in degree self.degree - 2j
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def monomials(self) -> frozenset:
-        return frozenset((j, name) for j, c in enumerate(self.coeffs)
-                         for name in c.entries)
+        return not any(self.coeffs)
 
     def coefficient(self, j: int) -> F2Vector:
-        return self.coeffs[j]
+        return F2Vector(self.degree - 2 * j, self.coeffs[j])
 
     def leading_power(self) -> int | None:
         """Highest e-power carrying a nonzero coefficient; None when zero."""
         for j in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[j].is_zero():
+            if self.coeffs[j]:
                 return j
         return None
 
@@ -66,7 +63,7 @@ class ExClass:
         if self.degree != other.degree or len(self.coeffs) != len(other.coeffs):
             raise ValueError("can only add ExClasses of one degree and rank")
         return ExClass(self.degree,
-                       tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+                       tuple(a ^ b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExClass):
@@ -76,18 +73,16 @@ class ExClass:
         return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.monomials())
+        return 0 if self.is_zero() else hash(self.coeffs)
 
 
 def zero_class(d: ManifoldDescriptor, degree: int) -> ExClass:
-    return ExClass(degree, tuple(F2Vector(degree - 2 * j, frozenset())
-                                 for j in range(d.n)))
+    return ExClass(degree, (0,) * d.n)
 
 
 def from_base(d: ManifoldDescriptor, v: F2Vector) -> ExClass:
     """The pullback e^0 * v of a class on X."""
-    tail = tuple(F2Vector(v.degree - 2 * j, frozenset()) for j in range(1, d.n))
-    return ExClass(v.degree, (v,) + tail)
+    return ExClass(v.degree, (v.mask,) + (0,) * (d.n - 1))
 
 
 def e_multiply(c: ExClass) -> ExClass:
@@ -98,22 +93,20 @@ def e_multiply(c: ExClass) -> ExClass:
     carry raises OutOfRange instead of guessing.
     """
     n = len(c.coeffs)
-    if not c.coeffs[n - 1].is_zero():
+    if c.coeffs[-1]:
         raise OutOfRange(
-            f"e * (e^{n - 1} * {sorted(c.coeffs[n - 1].entries)}) leaves the "
-            f"stored range; the e^{n} reduction is not available")
-    return ExClass(c.degree + 2, (F2Vector(c.degree + 2, frozenset()),)
-                   + c.coeffs[:n - 1])
+            f"e * (e^{n - 1} term) leaves the stored range; the e^{n} "
+            "reduction is not available")
+    return ExClass(c.degree + 2, (0,) + c.coeffs[:-1])
 
 
 def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
             first_sq: int, degree: int) -> ExClass:
     """sum_{i=0}^{top_power} e^(top_power - i) Sq^(first_sq + 2i) u."""
-    m = d.module
-    coeffs = [F2Vector(degree - 2 * j, frozenset()) for j in range(d.n)]
+    coeffs = [0] * d.n
     for i in range(top_power + 1):
         power = top_power - i
-        val = steenrod.sq(m, first_sq + 2 * i, u)
+        val = steenrod.sq(d.module, first_sq + 2 * i, u)
         if val.is_zero():
             continue
         if power >= d.n:
@@ -122,7 +115,7 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
             if degree > 4 * d.n - 2:
                 return zero_class(d, degree)
             raise OutOfRange(f"ladder term e^{power} exceeds e^{d.n - 1}")
-        coeffs[power] = coeffs[power] + val
+        coeffs[power] ^= val.mask
     return ExClass(degree, tuple(coeffs))
 
 
@@ -175,20 +168,22 @@ def betti_exceptional(d: ManifoldDescriptor) -> BettiTable:
     return BettiTable("exceptional", 4 * d.n - 2, dims, noncompact=not d.compact)
 
 
-def format_exclass(c: ExClass, unit: str | None = None) -> str:
+def format_exclass(d: ManifoldDescriptor, c: ExClass) -> str:
     """Render as e-power terms, leading power first: 'e^2*h + e*(a+b) + c'.
 
-    The unit coefficient prints as a bare power of e.
+    Names within a coefficient are sorted; the unit coefficient of d prints
+    as a bare power of e.
     """
     if c.is_zero():
         return "0"
+    unit = d.module.unit()
     parts = []
     for j in range(len(c.coeffs) - 1, -1, -1):
-        names = sorted(c.coeffs[j].entries)
+        names = sorted(d.module.names(c.coeffs[j]))
         if not names:
             continue
         e_part = "" if j == 0 else ("e" if j == 1 else f"e^{j}")
-        if unit is not None and names == [unit] and j > 0:
+        if names == [unit] and j > 0:
             parts.append(e_part)
             continue
         body = names[0] if len(names) == 1 else "(" + "+".join(names) + ")"

@@ -42,11 +42,6 @@ class KernelGenerator:
         return self.value.is_zero()
 
 
-def _column_key(d: ManifoldDescriptor):
-    index = d.module.index
-    return lambda key: (key[0], index(key[1]))
-
-
 def kernel_generators(d: ManifoldDescriptor,
                       mode: str = "all") -> list[KernelGenerator]:
     """All generators in declaration order of u, families inner, j innermost.
@@ -91,8 +86,11 @@ def kernel_dimensions(d: ManifoldDescriptor, mode: str = "all") -> dict[int, int
     {0: 1, 1: 1, 2: 2, 3: 2, 4: 12, 5: 1}
     """
     gens = kernel_generators(d, mode)
+    width = len(d.module.basis)
+    # one row per generator: coefficient j of e^j in bits j*width and up
     dims = once(d, ("kernel_dimensions", mode), lambda: gf2.span_dims_by_degree(
-        [g.value for g in gens if not g.is_zero], column_key=_column_key(d)))
+        (g.value.degree, sum(c << j * width for j, c in enumerate(g.value.coeffs)))
+        for g in gens))
     return dict(dims)
 
 
@@ -155,7 +153,7 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
                     "degree": degree,
                     "l": l,
                     "e_power": p,
-                    "coefficient": sorted(w.coefficient(p).entries),
+                    "coefficient": sorted(d.module.names(w.coeffs[p])),
                     "combination": [(g.family, g.source, g.j) for g in picked],
                 })
     if rep.ok:

@@ -136,12 +136,17 @@ def _expect_keys(obj: dict, required: dict, optional: dict, where: str) -> None:
 
 def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     """Structural parse: schema, references, duplicates. No axiom checks."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         raw = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DescriptorError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DescriptorError("top level must be an object")
     _expect_keys(raw,
@@ -253,12 +258,15 @@ def descriptor_violations(d: ManifoldDescriptor) -> Report:
 
 def _violations(d: ManifoldDescriptor) -> Report:
     rep = steenrod.validate(d.module)
-    units = d.module.classes_in_degree(0)
+    m = d.module
+    units = m.classes_in_degree(0)
     if len(units) != 1:
         rep.add("connectedness", FAIL,
                 f"expected exactly one degree-0 class, found {len(units)}")
-    for name, deg in d.module.basis:
+    in_range = True
+    for name, deg in m.basis:
         if deg > 2 * d.n:
+            in_range = False
             rep.add("degree-range", FAIL,
                     f"class {name!r} has degree {deg} above 2n = {2 * d.n}")
         elif deg == 2 * d.n and not d.compact:
@@ -267,16 +275,27 @@ def _violations(d: ManifoldDescriptor) -> Report:
                     "connected noncompact manifold of real dimension "
                     f"{deg} vanishes")
     if d.compact:
-        table = betti_of_x(d)
-        if len(d.module.classes_in_degree(2 * d.n)) != 1:
+        if len(m.classes_in_degree(2 * d.n)) != 1:
             rep.add("compactness-symmetry", FAIL,
                     f"compact descriptor needs exactly one class in degree {2 * d.n}")
-        if not table.is_palindromic():
+        # the row of X has no place for a class above 2n
+        table = betti_of_x(d) if in_range else None
+        if table is not None and not table.is_palindromic():
             rep.add("compactness-symmetry", FAIL,
                     f"mod-2 Betti numbers {table.as_row()} are not palindromic")
-    if d.integral.torsion_free and not d.integral.two_torsion_free:
+    flags = d.integral
+    if flags.torsion_free and not flags.two_torsion_free:
         rep.add("torsion-flags", FAIL,
                 "torsion_free requires two_torsion_free")
+    # Sq^1 is the reduction of the integral Bockstein
+    if flags.two_torsion_free and not steenrod.is_sq1_zero(m):
+        rep.add("torsion-flags", FAIL,
+                "two_torsion_free requires Sq^1 = 0, but Sq^1 is nonzero")
+    odd = [name for name, deg in m.basis if deg % 2]
+    if flags.torsion_free and flags.even_degrees_only and odd:
+        rep.add("torsion-flags", FAIL,
+                "torsion_free with even_degrees_only rules out classes of odd "
+                f"degree, but {len(odd)} are given, the first {odd[0]!r}")
     return rep
 
 

@@ -18,7 +18,7 @@ symmetric multiplication table: pairs that are not stored multiply to zero
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Mapping
 
@@ -41,7 +41,8 @@ class UnstableModule:
     basis entries are (name, degree) in declaration order; sq maps
     k -> {source name -> frozenset of target names}; cup maps a normalized
     (name, name) pair to a frozenset of result names, or is None when the
-    product structure is unknown.
+    product structure is unknown. These named fields are the parsed record;
+    sq() and cup_product() work on vectors whose bit i is basis class i.
     """
 
     basis: tuple
@@ -50,25 +51,37 @@ class UnstableModule:
     top_degree: int
 
     @cached_property
-    def _degree(self) -> dict[str, int]:
-        return {name: deg for name, deg in self.basis}
-
-    @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, (name, _) in enumerate(self.basis)}
 
+    def _mask(self, names) -> int:
+        return sum(1 << self.index(name) for name in names)
+
     @cached_property
-    def _by_degree(self) -> dict[int, tuple]:
-        out: dict[int, list] = {}
-        for name, deg in self.basis:
-            out.setdefault(deg, []).append(name)
-        return {d: tuple(names) for d, names in out.items()}
+    def _sq_rows(self) -> dict[int, dict[int, int]]:
+        """k -> {bit of a source class -> mask of Sq^k of that class}."""
+        return {k: {1 << self.index(u): self._mask(targets)
+                    for u, targets in row.items()}
+                for k, row in self.sq.items()}
+
+    @cached_property
+    def _cup_rows(self) -> dict[tuple, int]:
+        """(bit, bit) -> mask of the product of two basis classes, in both
+        orders; the unit acts as the identity and products above the top
+        degree vanish."""
+        rows: dict[tuple, int] = {}
+        for (x, y), result in self.cup.items():
+            if self.degree(x) + self.degree(y) <= self.top_degree:
+                bx, by = 1 << self.index(x), 1 << self.index(y)
+                rows[bx, by] = rows[by, bx] = self._mask(result)
+        if self.unit() is not None:
+            bu = 1 << self.index(self.unit())
+            for i in range(len(self.basis)):
+                rows[bu, 1 << i] = rows[1 << i, bu] = 1 << i
+        return rows
 
     def degree(self, name: str) -> int:
-        try:
-            return self._degree[name]
-        except KeyError:
-            raise UnknownClass(name) from None
+        return self.basis[self.index(name)][1]
 
     def index(self, name: str) -> int:
         try:
@@ -76,58 +89,37 @@ class UnstableModule:
         except KeyError:
             raise UnknownClass(name) from None
 
+    def names(self, mask: int) -> tuple:
+        """The basis classes of a mask, in declaration order."""
+        return tuple(self.basis[bit.bit_length() - 1][0] for bit in _bits(mask))
+
     def classes_in_degree(self, d: int) -> tuple:
-        return self._by_degree.get(d, ())
+        return tuple(name for name, deg in self.basis if deg == d)
 
     def unit(self) -> str | None:
-        names = self.classes_in_degree(0)
-        return names[0] if names else None
-
-    def zero(self, degree: int) -> F2Vector:
-        return F2Vector(degree, frozenset())
+        return next((name for name, deg in self.basis if deg == 0), None)
 
     def basis_vector(self, name: str) -> F2Vector:
-        return F2Vector(self.degree(name), frozenset({name}))
-
-    def vector(self, names, degree: int | None = None) -> F2Vector:
-        """Sum of basis classes; they must sit in one common degree."""
-        names = frozenset(names)
-        degrees = {self.degree(n) for n in names}
-        if len(degrees) > 1:
-            raise ValueError(f"mixed degrees {sorted(degrees)} in {sorted(names)}")
-        if degrees:
-            degree = degrees.pop()
-        elif degree is None:
-            degree = 0
-        return F2Vector(degree, names)
-
-    def _sq_class(self, k: int, name: str) -> frozenset:
-        return self.sq.get(k, {}).get(name, frozenset())
-
-    def cup_classes(self, x: str, y: str) -> frozenset:
-        """Product of two basis classes under the stored table."""
-        if self.cup is None:
-            raise ValueError("module has no cup table")
-        unit = self.unit()
-        if x == unit:
-            return frozenset({y})
-        if y == unit:
-            return frozenset({x})
-        if self.degree(x) + self.degree(y) > self.top_degree:
-            return frozenset()
-        got = self.cup.get((x, y))
-        if got is None:
-            got = self.cup.get((y, x), frozenset())
-        return got
+        return F2Vector(self.degree(name), 1 << self.index(name))
 
     def cup_product(self, v: F2Vector, w: F2Vector) -> F2Vector:
-        """Bilinear extension of cup_classes."""
-        deg = v.degree + w.degree
-        acc: set = set()
-        for x in v.entries:
-            for y in w.entries:
-                acc ^= set(self.cup_classes(x, y))
-        return F2Vector(deg, frozenset(acc))
+        """Bilinear extension of the stored table."""
+        if self.cup is None:
+            raise ValueError("module has no cup table")
+        rows = self._cup_rows
+        acc = 0
+        for bx in _bits(v.mask):
+            for by in _bits(w.mask):
+                acc ^= rows.get((bx, by), 0)
+        return F2Vector(v.degree + w.degree, acc)
+
+
+def _bits(mask: int):
+    """The set bits of a mask, lowest first, each as a one-bit int."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
@@ -136,21 +128,22 @@ def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
 
     >>> m = UnstableModule((("1", 0), ("h", 2), ("h2", 4)),
     ...                    {2: {"h": frozenset({"h2"})}}, None, 4)
-    >>> sorted(sq(m, 2, m.basis_vector("h")).entries)
-    ['h2']
+    >>> m.names(sq(m, 2, m.basis_vector("h")).mask)
+    ('h2',)
     >>> sq(m, 3, m.basis_vector("h")).is_zero()
     True
     """
     if k == 0:
         return v
     if k < 0 or k > v.degree:
-        return F2Vector(v.degree + k, frozenset())
-    acc: set = set()
-    for name in v.entries:
-        if name not in m._degree:
-            raise UnknownClass(name)
-        acc ^= set(m._sq_class(k, name))
-    return F2Vector(v.degree + k, frozenset(acc))
+        return F2Vector(v.degree + k)
+    if v.mask >> len(m.basis):
+        raise UnknownClass(f"bit {v.mask.bit_length() - 1} is not a basis class")
+    row = m._sq_rows.get(k, {})
+    acc = 0
+    for bit in _bits(v.mask):
+        acc ^= row.get(bit, 0)
+    return F2Vector(v.degree + k, acc)
 
 
 def is_sq1_zero(m: UnstableModule) -> bool:
@@ -179,22 +172,29 @@ def adem_expand(a: int, b: int) -> list[tuple[int, int]]:
 
 
 def _check_names(m: UnstableModule, rep: Report) -> bool:
-    known = set(m._degree)
+    known = set(m._index)
     bad = False
     for k, row in m.sq.items():
         for u, targets in row.items():
-            for name in {u} | set(targets):
+            for name in dict.fromkeys((u, *sorted(targets))):
                 if name not in known:
                     rep.add("unknown-class", FAIL,
                             f"sq({k}) entry mentions unknown class {name!r}")
                     bad = True
     for pair, result in (m.cup or {}).items():
-        for name in set(pair) | set(result):
+        for name in dict.fromkeys((*pair, *sorted(result))):
             if name not in known:
                 rep.add("unknown-class", FAIL,
                         f"cup entry {pair} mentions unknown class {name!r}")
                 bad = True
     return bad
+
+
+def _shown(m: UnstableModule, v: F2Vector) -> str:
+    """A vector for a report message: {'a', 'b'} in basis order, or 0."""
+    if not v.mask:
+        return "0"
+    return "{" + ", ".join(repr(name) for name in m.names(v.mask)) + "}"
 
 
 def validate(m: UnstableModule) -> Report:
@@ -223,19 +223,22 @@ def validate(m: UnstableModule) -> Report:
                 rep.add("instability", FAIL,
                         f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
 
+    # Sq^k of basis class i, each computed once
+    square = cache(lambda i, k: sq(m, k, F2Vector(m.basis[i][1], 1 << i)))
+
     if m.cup is None:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
         rep.add("cartan", NOTE, "no cup table stored; check skipped")
     else:
-        for name, deg in m.basis:
+        for i, (name, deg) in enumerate(m.basis):
             if deg < 1:
                 continue
-            left = sq(m, deg, m.basis_vector(name))
-            right = m.cup_product(m.basis_vector(name), m.basis_vector(name))
+            left = square(i, deg)
+            right = m.cup_product(square(i, 0), square(i, 0))
             if left != right:
                 rep.add("square-rule", FAIL,
-                        f"Sq^{deg} {name} = {set(left.entries) or 0} but "
-                        f"{name} cup {name} = {set(right.entries) or 0}")
+                        f"Sq^{deg} {name} = {_shown(m, left)} but "
+                        f"{name} cup {name} = {_shown(m, right)}")
         for (x, y) in sorted(m.cup, key=lambda p: (m.index(p[0]), m.index(p[1]))):
             dx, dy = m.degree(x), m.degree(y)
             for t in sorted(m.cup[(x, y)], key=m.index):
@@ -243,30 +246,38 @@ def validate(m: UnstableModule) -> Report:
                     rep.add("degree-shift", FAIL,
                             f"{x} cup {y} contains {t} of degree {m.degree(t)}, "
                             f"expected degree {dx + dy}")
-            prod = F2Vector(dx + dy, m.cup.get((x, y), frozenset()))
+            prod = F2Vector(dx + dy, m._mask(m.cup[(x, y)]))
+            ix, iy = m.index(x), m.index(y)
             for i in range(1, dx + dy + 1):
                 left = sq(m, i, prod)
-                right = F2Vector(dx + dy + i, frozenset())
+                right = F2Vector(dx + dy + i)
                 for j in range(i + 1):
-                    right += m.cup_product(sq(m, j, m.basis_vector(x)),
-                                           sq(m, i - j, m.basis_vector(y)))
+                    right += m.cup_product(square(ix, j), square(iy, i - j))
                 if left != right:
                     rep.add("cartan", FAIL,
                             f"Sq^{i}({x} cup {y}): table gives "
-                            f"{set(left.entries) or 0}, Cartan sum gives "
-                            f"{set(right.entries) or 0}")
+                            f"{_shown(m, left)}, Cartan sum gives "
+                            f"{_shown(m, right)}")
 
+    # Both sides of an Adem relation on u vanish when u has no stored
+    # square, or when b > deg u: then Sq^b u = 0, and Sq^x Sq^y u with
+    # x + y = a + b and y < b has x > deg u + y. Only the other classes
+    # are tried.
+    squared = {bit for row in m._sq_rows.values() for bit, mask in row.items() if mask}
     for b in range(1, m.top_degree + 1):
+        high = [(i, name) for i, (name, deg) in enumerate(m.basis)
+                if deg >= b and 1 << i in squared]
+        if not high:
+            break
         for a in range(1, min(2 * b - 1, m.top_degree - b) + 1):
             expansion = adem_expand(a, b)
-            for name, deg in m.basis:
-                u = m.basis_vector(name)
-                left = sq(m, a, sq(m, b, u))
-                right = F2Vector(deg + a + b, frozenset())
+            for i, name in high:
+                left = sq(m, a, square(i, b))
+                right = F2Vector(left.degree)
                 for x, y in expansion:
-                    right += sq(m, x, sq(m, y, u))
+                    right += sq(m, x, square(i, y))
                 if left != right:
                     rep.add("adem", FAIL,
-                            f"Sq^{a} Sq^{b} {name} = {set(left.entries) or 0} "
-                            f"but the Adem expansion gives {set(right.entries) or 0}")
+                            f"Sq^{a} Sq^{b} {name} = {_shown(m, left)} "
+                            f"but the Adem expansion gives {_shown(m, right)}")
     return rep

@@ -1,7 +1,9 @@
 """Betti tables of the symmetric square, configuration complement, and
 Hilbert square, plus the integral profile of the symmetric square."""
 
+import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,9 +20,11 @@ from hilb2 import (
     catalog_get,
     catalog_names,
     integral_sym2,
+    load_descriptor,
     torsion_flags_hilb2,
 )
 from hilb2.betti import GroupProfile
+from hilb2.catalog import _projective
 from hilb2.steenrod import Sq1NotZero
 
 HILB2_ROWS = {
@@ -104,6 +108,19 @@ def test_hilb2_closed_gate_is_sq1_not_the_torsion_flag():
     y = catalog_get("elliptic_y")
     assert not y.integral.two_torsion_free
     assert betti_hilb2_closed(y) == betti_hilb2_exact(y)
+
+
+def test_projective_generator_gives_the_grassmannian_bundle_row():
+    # Hilb^2(P^n) is a P^2-bundle over Gr(2, n+1), so its Poincare
+    # polynomial is [n+1 choose 2]_(t^2) (1 + t^2 + t^4)
+    for n in range(1, 13):
+        d = load_descriptor(json.dumps(_projective(f"p{n}", n)))
+        grassmannian = Counter(2 * (i + j - 1)
+                               for i, j in combinations(range(n + 1), 2))
+        row = tuple(sum(grassmannian[k - s] for s in (0, 2, 4))
+                    for k in range(4 * n + 1))
+        assert betti_hilb2_exact(d).as_row() == row, n
+        assert betti_hilb2_closed(d).as_row() == row, n
 
 
 def test_methods_agree_on_random_square_free_fixtures():

@@ -1,10 +1,12 @@
 """Exit codes, formats, and file-versus-catalog resolution of the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 
 from conftest import descriptor_obj
+import hilb2
 from hilb2 import BettiTable, catalog_text
 from hilb2 import cli
 
@@ -61,6 +63,50 @@ def test_noncompact_class_in_degree_2n_exits_two_with_a_report(tmp_path,
         code, out, _ = run(argv, capsys)
         assert code == 2, argv
         assert out.count("[fail] degree-range") == 2, argv
+
+
+def test_hostile_files_exit_one_without_a_traceback(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xff"}')
+    code, _, err = run(["validate", str(nested)], capsys)
+    assert (code, err) == (1, "error: invalid JSON: nested too deeply\n")
+    code, _, err = run(["validate", str(latin1)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "is not UTF-8 text" in err
+
+
+def test_compact_class_above_2n_exits_two_with_a_report(tmp_path, capsys):
+    obj = descriptor_obj(n=1, degrees=[0, 2, 5])
+    code, out, _ = run(["validate", write_descriptor(tmp_path, obj)], capsys)
+    assert code == 2
+    assert "[fail] degree-range: class 'c2' has degree 5 above 2n = 2" in out
+
+
+MULTI = {"name": "multi", "complex_dimension": 2, "compact": False,
+         "classes": [{"name": "1", "degree": 0}, {"name": "x", "degree": 1},
+                     {"name": "alpha", "degree": 2},
+                     {"name": "beta", "degree": 2},
+                     {"name": "gamma", "degree": 2}],
+         "sq": [{"k": 1, "from": "x", "to": ["gamma", "alpha", "beta"]}],
+         "cup": [{"a": "x", "b": "x", "result": []}]}
+MULTI_REPORT = ("[fail] square-rule: Sq^1 x = {'alpha', 'beta', 'gamma'} "
+                "but x cup x = 0\n")
+
+
+def test_validate_lists_classes_in_basis_order_whatever_the_hash_seed(tmp_path):
+    path = write_descriptor(tmp_path, MULTI)
+    src = os.path.dirname(os.path.dirname(hilb2.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-m", "hilb2.cli", "validate", path],
+                              capture_output=True, text=True, env=env)
+        outputs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outputs[0] == outputs[1] == (2, MULTI_REPORT, "")
 
 
 def test_validate_json_flag(capsys):
@@ -183,6 +229,18 @@ def test_integral_requires_torsion_free_flag(capsys):
     assert "torsion_free" in err
 
 
+def test_integral_flags_must_agree_with_sq1(tmp_path, capsys):
+    obj = json.loads(catalog_text("enriques_x"))
+    obj["integral"] = {"two_torsion_free": True, "torsion_free": True,
+                       "even_degrees_only": True}
+    path = write_descriptor(tmp_path, obj)
+    code, out, _ = run(["integral", path, "--space", "sym2"], capsys)
+    assert code == 2
+    assert out.count("[fail] torsion-flags") == 2
+    assert "two_torsion_free requires Sq^1 = 0" in out
+    assert "rules out classes of odd degree, but 2 are given, the first 't'" in out
+
+
 def test_check_passes_on_catalog(capsys):
     code, out, _ = run(["check", "elliptic_y"], capsys)
     assert code == 0
@@ -242,6 +300,16 @@ def test_catalog_dir_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["betti", "p2", "--space", "hilb2"], capsys)
     assert code == 0
     assert out.strip() == "1 0 1 0 1"  # the n = 1 impostor, not the plane
+
+
+def test_non_utf8_catalog_override_exits_one(tmp_path, capsys, monkeypatch):
+    (tmp_path / "p2.json").write_bytes(b'{"name": "\xff"}')
+    monkeypatch.setenv("HILB2_CATALOG_DIR", str(tmp_path))
+    for argv in (["catalog", "show", "p2"], ["catalog", "export", "p2"],
+                 ["validate", "p2"]):
+        code, _, err = run(argv, capsys)
+        assert code == 1, argv
+        assert "is not UTF-8 text" in err, argv
 
 
 def test_file_beats_catalog_name(tmp_path, capsys, monkeypatch):

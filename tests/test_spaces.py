@@ -181,6 +181,35 @@ def test_torsion_flag_implication_enforced():
                                   "two_torsion_free": False})
 
 
+def test_two_torsion_free_requires_vanishing_sq1():
+    sq1 = [{"k": 1, "from": "c1", "to": ["c2"]}]
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_descriptor(n=2, degrees=[0, 1, 2], compact=False, sq=sq1,
+                        integral={"two_torsion_free": True})
+    assert [e.check for e in exc.value.report.failures] == ["torsion-flags"]
+    # the same data loads once the flag is dropped
+    make_descriptor(n=2, degrees=[0, 1, 2], compact=False, sq=sq1)
+
+
+def test_torsion_free_even_degrees_forbid_odd_classes():
+    flags = {"two_torsion_free": True, "torsion_free": True,
+             "even_degrees_only": True}
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_descriptor(n=2, degrees=[0, 1, 3, 4], integral=flags)
+    assert [e.check for e in exc.value.report.failures] == ["torsion-flags"]
+    # either flag alone allows odd classes
+    for key in ("torsion_free", "even_degrees_only"):
+        make_descriptor(n=2, degrees=[0, 1, 3, 4],
+                        integral=dict(flags, **{key: False}))
+
+
+def test_hostile_text_is_a_descriptor_error():
+    with pytest.raises(DescriptorError, match="nested too deeply"):
+        parse_descriptor("[" * 200_000)
+    with pytest.raises(DescriptorError, match="not UTF-8"):
+        parse_descriptor(b'{"name": "\xff"}')
+
+
 def test_axiom_violations_raise_invalid_descriptor():
     with pytest.raises(InvalidDescriptor) as exc:
         make_descriptor(n=2, degrees=[0, 1, 2, 3, 4],

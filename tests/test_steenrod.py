@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import parse_only
-from hilb2 import catalog_get, catalog_names
+from conftest import make_descriptor, parse_only
+from hilb2 import catalog_get, catalog_names, steenrod
 from hilb2.gf2 import F2Vector
 from hilb2.steenrod import (
     UnknownClass,
@@ -44,7 +44,7 @@ def test_sq_is_additive():
         cup=None,
         top_degree=4,
     )
-    both = F2Vector(1, frozenset({"a", "b"}))
+    both = m.basis_vector("a") + m.basis_vector("b")
     assert sq(m, 1, both).is_zero()  # the two images cancel
     assert sq(m, 1, m.basis_vector("a")) == m.basis_vector("x")
 
@@ -52,7 +52,9 @@ def test_sq_is_additive():
 def test_sq_unknown_name_raises():
     m = simple_module()
     with pytest.raises(UnknownClass):
-        sq(m, 1, F2Vector(1, frozenset({"ghost"})))
+        sq(m, 1, F2Vector(1, 1 << len(m.basis)))  # no class has this bit
+    with pytest.raises(UnknownClass):
+        m.basis_vector("ghost")
 
 
 def test_adem_small_expansions():
@@ -165,3 +167,20 @@ def test_missing_cup_table_yields_notes_not_failures():
     assert rep.ok
     assert statuses.get("square-rule") == "note"
     assert statuses.get("cartan") == "note"
+
+
+def test_validation_without_stored_squares_makes_no_sq_call(monkeypatch):
+    # Sq^b u = 0 for b > deg u and for a class with no stored square, so
+    # the Adem check has nothing to try on a point or a sphere
+    calls = []
+    real = steenrod.sq
+    monkeypatch.setattr(steenrod, "sq",
+                        lambda *args: calls.append(args) or real(*args))
+    for degrees, compact in (([0], False), ([0, 60], True)):
+        d = parse_only(n=30, degrees=degrees, compact=compact)
+        assert validate(d.module).ok
+    assert calls == []
+
+
+def test_one_class_descriptor_with_large_n_loads():
+    assert make_descriptor(n=500, degrees=[0], compact=False).n == 500
