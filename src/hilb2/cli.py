@@ -177,6 +177,8 @@ def cmd_integral(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise _InputError(f"--samples must be at least 1, got {args.samples}")
     d = _load(args.path)
     rep = verify.run_suite(d, seed=args.seed, samples=args.samples)
     _print_report(rep, args.json)
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input that cannot be read, an -o that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DescriptorError as exc:

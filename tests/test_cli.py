@@ -77,6 +77,15 @@ def test_hostile_files_exit_one_without_a_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and "is not UTF-8 text" in err
 
 
+def test_directories_exit_one_without_a_traceback(tmp_path, capsys):
+    for argv in (["validate", str(tmp_path)],
+                 ["catalog", "export", "p2", "-o", str(tmp_path)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and repr(str(tmp_path)) in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_compact_class_above_2n_exits_two_with_a_report(tmp_path, capsys):
     obj = descriptor_obj(n=1, degrees=[0, 2, 5])
     code, out, _ = run(["validate", write_descriptor(tmp_path, obj)], capsys)
@@ -252,6 +261,13 @@ def test_check_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert {"check", "status", "details"} <= set(rows[0])
+
+
+def test_check_samples_below_one_is_an_input_error(capsys):
+    for samples in ("0", "-5"):
+        code, out, err = run(["check", "p1", "--samples", samples], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_check_fails_on_invalid_descriptor(tmp_path, capsys):

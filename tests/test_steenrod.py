@@ -1,18 +1,34 @@
 """Steenrod action on a named basis: sq, Adem expansion, and the validator."""
 
+import json
+import os
+import random
+import sys
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_descriptor, parse_only
-from hilb2 import catalog_get, catalog_names, steenrod
+from hilb2 import catalog_get, catalog_names, catalog_text, steenrod
 from hilb2.gf2 import F2Vector
+from hilb2.report import FAIL, NOTE, Report
+from hilb2.spaces import parse_descriptor
 from hilb2.steenrod import (
     UnknownClass,
     UnstableModule,
+    _check_names,
+    _shown,
     adem_expand,
     is_sq1_zero,
     sq,
     validate,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import inputs  # noqa: E402  (the benchmark's P^n and product generators)
 
 
 def simple_module():
@@ -184,3 +200,187 @@ def test_validation_without_stored_squares_makes_no_sq_call(monkeypatch):
 
 def test_one_class_descriptor_with_large_n_loads():
     assert make_descriptor(n=500, degrees=[0], compact=False).n == 500
+
+
+def test_validation_work_does_not_grow_with_the_degree(monkeypatch):
+    # classes a, b in degree n with a cup b = top and no stored square:
+    # every Sq^i of both sides of the Cartan formula is zero
+    calls = []
+    product, squares = UnstableModule.cup_product, steenrod._squares_of
+    monkeypatch.setattr(UnstableModule, "cup_product",
+                        lambda *args: calls.append("cup") or product(*args))
+    monkeypatch.setattr(steenrod, "_squares_of",
+                        lambda *args: calls.append("sq") or squares(*args))
+    counts = []
+    for n in (10, 2000):
+        d = parse_only(n=n, degrees=[0, n, n, 2 * n],
+                       cup=[{"a": "c1", "b": "c2", "result": ["c3"]}])
+        calls.clear()
+        assert validate(d.module).ok
+        counts.append((calls.count("cup"), calls.count("sq")))
+    assert counts[0] == counts[1]
+
+
+# Reference: the dense validator, which forms both sides of the Cartan
+# formula for every i <= deg x + deg y and every j <= i, and both sides of
+# every Adem relation through sq() on F2Vector values.
+
+def dense_validate(m):
+    rep = Report()
+    if _check_names(m, rep):
+        return rep
+
+    for k in sorted(m.sq):
+        if k < 1:
+            rep.add("degree-shift", FAIL, f"sq({k}) stored; squares start at k = 1")
+            continue
+        for u in sorted(m.sq[k], key=m.index):
+            targets = m.sq[k][u]
+            du = m.degree(u)
+            for t in sorted(targets, key=m.index):
+                if m.degree(t) != du + k:
+                    rep.add("degree-shift", FAIL,
+                            f"Sq^{k} {u} contains {t} of degree {m.degree(t)}, "
+                            f"expected degree {du + k}")
+            if targets and k > du:
+                rep.add("instability", FAIL,
+                        f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
+
+    square = cache(lambda i, k: sq(m, k, F2Vector(m.basis[i][1], 1 << i)))
+
+    def times(v, w):
+        return F2Vector(v.degree + w.degree, m.cup_product(v.mask, w.mask))
+
+    if m.cup is None:
+        rep.add("square-rule", NOTE, "no cup table stored; check skipped")
+        rep.add("cartan", NOTE, "no cup table stored; check skipped")
+    else:
+        for i, (name, deg) in enumerate(m.basis):
+            if deg < 1:
+                continue
+            left = square(i, deg)
+            right = times(square(i, 0), square(i, 0))
+            if left != right:
+                rep.add("square-rule", FAIL,
+                        f"Sq^{deg} {name} = {_shown(m, left.mask)} but "
+                        f"{name} cup {name} = {_shown(m, right.mask)}")
+        for (x, y) in sorted(m.cup, key=lambda p: (m.index(p[0]), m.index(p[1]))):
+            dx, dy = m.degree(x), m.degree(y)
+            for t in sorted(m.cup[(x, y)], key=m.index):
+                if m.degree(t) != dx + dy:
+                    rep.add("degree-shift", FAIL,
+                            f"{x} cup {y} contains {t} of degree {m.degree(t)}, "
+                            f"expected degree {dx + dy}")
+            prod = F2Vector(dx + dy, m._mask(m.cup[(x, y)]))
+            ix, iy = m.index(x), m.index(y)
+            for i in range(1, dx + dy + 1):
+                left = sq(m, i, prod)
+                right = F2Vector(dx + dy + i)
+                for j in range(i + 1):
+                    right += times(square(ix, j), square(iy, i - j))
+                if left != right:
+                    rep.add("cartan", FAIL,
+                            f"Sq^{i}({x} cup {y}): table gives "
+                            f"{_shown(m, left.mask)}, Cartan sum gives "
+                            f"{_shown(m, right.mask)}")
+
+    squared = {1 << m.index(u) for row in m.sq.values() for u, targets in row.items()
+               if targets}
+    for b in range(1, m.top_degree + 1):
+        high = [(i, name) for i, (name, deg) in enumerate(m.basis)
+                if deg >= b and 1 << i in squared]
+        if not high:
+            break
+        for a in range(1, min(2 * b - 1, m.top_degree - b) + 1):
+            expansion = adem_expand(a, b)
+            for i, name in high:
+                left = sq(m, a, square(i, b))
+                right = F2Vector(left.degree)
+                for x, y in expansion:
+                    right += sq(m, x, square(i, y))
+                if left != right:
+                    rep.add("adem", FAIL,
+                            f"Sq^{a} Sq^{b} {name} = {_shown(m, left.mask)} "
+                            f"but the Adem expansion gives {_shown(m, right.mask)}")
+    return rep
+
+
+BASES = ([inputs.projective(n) for n in range(1, 6)]
+         + [inputs.product(inputs.projective(a), inputs.projective(b))
+            for a, b in ((1, 1), (1, 2), (2, 2), (1, 3))]
+         + [inputs.product(json.loads(catalog_text("enriques_x")),
+                           inputs.projective(1))]
+         + [json.loads(catalog_text(name)) for name in catalog_names()])
+
+
+def mutant(rng):
+    """A base descriptor with one to three Sq or cup entries added, dropped
+    or replaced. New squares may break instability or land in the wrong
+    degree, and new cup results may have the wrong degree."""
+    obj = json.loads(json.dumps(rng.choice(BASES)))
+    names = [c["name"] for c in obj["classes"]]  # the unit first
+    sq_entries = obj.setdefault("sq", [])
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4 if "cup" in obj else 2)
+        if kind == 0:
+            k = rng.randint(1, 2 * obj["complex_dimension"] + 1)
+            src = rng.choice(names)
+            targets = rng.sample(names, rng.randint(1, 2))
+            sq_entries[:] = [e for e in sq_entries
+                             if (e["k"], e["from"]) != (k, src)]
+            sq_entries.append({"k": k, "from": src, "to": targets})
+        elif kind == 1 and sq_entries:
+            sq_entries.pop(rng.randrange(len(sq_entries)))
+        elif kind == 2 and obj["cup"]:
+            entry = rng.choice(obj["cup"])
+            entry["result"] = rng.sample(names, rng.randint(0, 2))
+        elif kind == 3:
+            a, b = rng.sample(names[1:], 2) if len(names) > 2 else names[1:] * 2
+            if not any({e["a"], e["b"]} == {a, b} for e in obj["cup"]):
+                obj["cup"].append({"a": a, "b": b,
+                                   "result": rng.sample(names, rng.randint(1, 2))})
+    return parse_descriptor(json.dumps(obj)).module
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_validate_matches_the_dense_reference(rng):
+    m = mutant(rng)
+    assert validate(m).entries == dense_validate(m).entries
+
+
+def test_reference_comparison_reaches_every_kind_of_failure():
+    kinds = set()
+    for seed in range(150):
+        m = mutant(random.Random(seed))
+        rep = validate(m)
+        assert rep.entries == dense_validate(m).entries
+        kinds.update(e.check for e in rep.failures)
+    assert {"square-rule", "cartan", "adem", "instability",
+            "degree-shift"} <= kinds
+
+
+def _named(n, classes, sq, cup):
+    return parse_only(n=n, classes=[{"name": c, "degree": d} for c, d in classes],
+                      sq=sq, cup=cup).module
+
+
+def test_squares_beyond_instability_as_the_dense_reference_reads_them():
+    # h cup h = h has the wrong degree, so Sq^3 of the degree-4 product
+    # reads the stored Sq^3 h although 3 > deg h
+    m = _named(3, (("1", 0), ("h", 2), ("h2", 4), ("h3", 6)),
+               sq=[{"k": 3, "from": "h", "to": ["h3"]}],
+               cup=[{"a": "h", "b": "h", "result": ["h"]}])
+    rep = validate(m)
+    assert rep.entries == dense_validate(m).entries
+    assert ("Sq^3(h cup h): table gives {'h3'}, Cartan sum gives 0"
+            in [e.details for e in rep.failures])
+    # but Sq^2 x with 2 > deg x is no term of the Cartan sum for x cup y,
+    # although (Sq^2 x) cup y = z cup y = w is stored
+    m = _named(3, (("1", 0), ("x", 1), ("y", 2), ("z", 3), ("w", 5)),
+               sq=[{"k": 2, "from": "x", "to": ["z"]}],
+               cup=[{"a": "x", "b": "y", "result": ["z"]},
+                    {"a": "y", "b": "z", "result": ["w"]}])
+    rep = validate(m)
+    assert rep.entries == dense_validate(m).entries
+    assert rep.statuses() == {"instability": "fail"}
