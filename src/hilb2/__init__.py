@@ -23,16 +23,15 @@ from .betti import (
 )
 from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
 from .exdiv import (
-    ExClass,
     OutOfRange,
     betti_exceptional,
     boundary_no_b,
     boundary_with_b,
+    coefficient,
     e_multiply,
     format_exclass,
     from_base,
     hilb_restriction,
-    zero_class,
 )
 from .gf2 import F2Vector, span_dims_by_degree
 from .kernel import (
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiTable",
     "DescriptorError",
-    "ExClass",
     "F2Vector",
     "GroupProfile",
     "Hilb2TorsionFlags",
@@ -94,6 +92,7 @@ __all__ = [
     "catalog_text",
     "check_duality",
     "check_euler",
+    "coefficient",
     "corollary_check",
     "descriptor_to_json",
     "descriptor_violations",
@@ -114,6 +113,5 @@ __all__ = [
     "sq",
     "torsion_flags_hilb2",
     "validate_module",
-    "zero_class",
     "__version__",
 ]

@@ -8,6 +8,7 @@ unknown name, bad flags), 2 mathematical failure or axiom violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,6 +219,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # parsing never changes the tree; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="hilb2", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

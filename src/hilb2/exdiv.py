@@ -2,9 +2,10 @@
 
 E is the projectivized cotangent bundle of the n-fold X, so its mod-2
 cohomology is a free module over that of X on 1, e, ..., e^(n-1), where e is
-the hyperplane class. An ExClass stores one homogeneous element as the tuple
-of its coefficients c_0, ..., c_(n-1), meaning sum_j e^j c_j; each c_j is a
-basis bitmask of H*(X; F_2), bit i for basis class i.
+the hyperplane class. One F2Vector type serves H*(X) and H*(E): an element
+of H^m(E) is F2Vector(m, mask) with bit j*N + i standing for e^j x_i, N the
+basis size of H*(X; F_2). The block of N bits at e-power j is the
+coefficient c_j of sum_j e^j c_j, a class of degree m - 2j on X.
 
 The boundary of the punctured symmetric square of a tubular neighbourhood of
 a closed Z in X with mod-2 Thom class u of degree r, and of its double cover
@@ -23,8 +24,6 @@ ambient group vanishes) give the zero class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import steenrod
 from .gf2 import F2Vector
 from .spaces import BettiTable, ManifoldDescriptor, ladder_counts
@@ -35,75 +34,37 @@ class OutOfRange(ValueError):
     Chern class data this presentation does not carry."""
 
 
-@dataclass(frozen=True)
-class ExClass:
-    """Homogeneous element of H*(E;F2): coefficients of 1, e, ..., e^(n-1)."""
-
-    degree: int
-    coeffs: tuple  # n basis masks, coeffs[j] in degree self.degree - 2j
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def coefficient(self, j: int) -> F2Vector:
-        return F2Vector(self.degree - 2 * j, self.coeffs[j])
-
-    def leading_power(self) -> int | None:
-        """Highest e-power carrying a nonzero coefficient; None when zero."""
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[j]:
-                return j
-        return None
-
-    def __add__(self, other: "ExClass") -> "ExClass":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree or len(self.coeffs) != len(other.coeffs):
-            raise ValueError("can only add ExClasses of one degree and rank")
-        return ExClass(self.degree,
-                       tuple(a ^ b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExClass):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return 0 if self.is_zero() else hash(self.coeffs)
+def from_base(d: ManifoldDescriptor, v: F2Vector) -> F2Vector:
+    """The pullback e^0 * v of a class on X, which has the same bits."""
+    return v
 
 
-def zero_class(d: ManifoldDescriptor, degree: int) -> ExClass:
-    return ExClass(degree, (0,) * d.n)
+def coefficient(d: ManifoldDescriptor, c: F2Vector, j: int) -> F2Vector:
+    """The coefficient of e^j in c, a class of degree deg(c) - 2j on X."""
+    width = len(d.module.basis)
+    return F2Vector(c.degree - 2 * j, (c.mask >> j * width) & ((1 << width) - 1))
 
 
-def from_base(d: ManifoldDescriptor, v: F2Vector) -> ExClass:
-    """The pullback e^0 * v of a class on X."""
-    return ExClass(v.degree, (v.mask,) + (0,) * (d.n - 1))
-
-
-def e_multiply(c: ExClass) -> ExClass:
+def e_multiply(d: ManifoldDescriptor, c: F2Vector) -> F2Vector:
     """Multiply by e, shifting every coefficient one power up.
 
     The top coefficient must be zero: rewriting e^n in terms of lower powers
     needs Chern classes of X, which a descriptor does not carry, so a nonzero
     carry raises OutOfRange instead of guessing.
     """
-    n = len(c.coeffs)
-    if c.coeffs[-1]:
+    width = len(d.module.basis)
+    if c.mask >> (d.n - 1) * width:
         raise OutOfRange(
-            f"e * (e^{n - 1} term) leaves the stored range; the e^{n} "
+            f"e * (e^{d.n - 1} term) leaves the stored range; the e^{d.n} "
             "reduction is not available")
-    return ExClass(c.degree + 2, (0,) + c.coeffs[:-1])
+    return F2Vector(c.degree + 2, c.mask << width)
 
 
 def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
-            first_sq: int, degree: int) -> ExClass:
+            first_sq: int, degree: int) -> F2Vector:
     """sum_{i=0}^{top_power} e^(top_power - i) Sq^(first_sq + 2i) u."""
-    coeffs = [0] * d.n
+    width = len(d.module.basis)
+    mask = 0
     for i in range(top_power + 1):
         power = top_power - i
         val = steenrod.sq(d.module, first_sq + 2 * i, u)
@@ -113,13 +74,13 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
             # only reachable for deg(u) = 2n, where the whole group
             # H^(4n)(E) of a (4n-2)-manifold vanishes
             if degree > 4 * d.n - 2:
-                return zero_class(d, degree)
+                return F2Vector(degree)
             raise OutOfRange(f"ladder term e^{power} exceeds e^{d.n - 1}")
-        coeffs[power] ^= val.mask
-    return ExClass(degree, tuple(coeffs))
+        mask |= val.mask << power * width
+    return F2Vector(degree, mask)
 
 
-def boundary_no_b(d: ManifoldDescriptor, u: F2Vector) -> ExClass:
+def boundary_no_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
     """Boundary of the punctured symmetric square class, degree 2 deg(u) - 1.
 
     >>> from hilb2.catalog import catalog_get
@@ -137,7 +98,7 @@ def boundary_no_b(d: ManifoldDescriptor, u: F2Vector) -> ExClass:
     return _ladder(d, u, a, 0, 2 * r - 1)
 
 
-def boundary_with_b(d: ManifoldDescriptor, u: F2Vector) -> ExClass:
+def boundary_with_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
     """Boundary of the same class twisted by the double cover, degree 2 deg(u).
 
     >>> from hilb2.catalog import catalog_get
@@ -153,7 +114,7 @@ def boundary_with_b(d: ManifoldDescriptor, u: F2Vector) -> ExClass:
     return _ladder(d, u, a, 1, 2 * r)
 
 
-def hilb_restriction(d: ManifoldDescriptor, u: F2Vector) -> ExClass:
+def hilb_restriction(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
     """Restriction to E of the Hilbert-square class of a closed submanifold
     with Thom class u; defined for even deg(u) only, where it coincides with
     boundary_with_b(u)."""
@@ -168,7 +129,7 @@ def betti_exceptional(d: ManifoldDescriptor) -> BettiTable:
     return BettiTable("exceptional", 4 * d.n - 2, dims, noncompact=not d.compact)
 
 
-def format_exclass(d: ManifoldDescriptor, c: ExClass) -> str:
+def format_exclass(d: ManifoldDescriptor, c: F2Vector) -> str:
     """Render as e-power terms, leading power first: 'e^2*h + e*(a+b) + c'.
 
     Names within a coefficient are sorted; the unit coefficient of d prints
@@ -177,11 +138,13 @@ def format_exclass(d: ManifoldDescriptor, c: ExClass) -> str:
     if c.is_zero():
         return "0"
     unit = d.module.unit()
+    width = len(d.module.basis)
     parts = []
-    for j in range(len(c.coeffs) - 1, -1, -1):
-        names = sorted(d.module.names(c.coeffs[j]))
-        if not names:
-            continue
+    rest = c.mask
+    while rest:  # visit only the nonzero e-powers, highest first
+        j = (rest.bit_length() - 1) // width
+        rest &= (1 << j * width) - 1
+        names = sorted(d.module.names(coefficient(d, c, j).mask))
         e_part = "" if j == 0 else ("e" if j == 1 else f"e^{j}")
         if names == [unit] and j > 0:
             parts.append(e_part)

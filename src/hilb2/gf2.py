@@ -1,9 +1,10 @@
 """Linear algebra over the two-element field on bit-packed rows.
 
-A vector is a degree and an int mask over the basis of H*(X; F_2): bit i
-stands for basis class i in declaration order, so addition is XOR and class
-names appear only where descriptors are parsed and results printed. Rank is
-computed by elimination on the lowest set bit.
+A vector is a degree and an int mask, addition is XOR, and class names
+appear only where descriptors are parsed and results printed. One F2Vector
+type serves H*(X; F_2) and H*(E_X; F_2): on X bit i stands for basis class i
+in declaration order; on E_X bit j*N + i stands for e^j x_i, N the basis
+size (see exdiv). Rank is computed by elimination on the lowest set bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 
 @dataclass(frozen=True)
 class F2Vector:
-    """Sum of basis classes in one degree, bit i for class i; mask 0 is zero.
+    """Sum of basis classes in one degree, one bit per class; mask 0 is zero.
 
     >>> x = F2Vector(2, 0b01)
     >>> (x + x).is_zero()

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import exdiv, gf2, steenrod
-from .exdiv import ExClass
+from .gf2 import F2Vector
 from .report import FAIL, PASS, Report
 from .spaces import ManifoldDescriptor, once
 from .steenrod import Sq1NotZero
@@ -35,7 +35,7 @@ class KernelGenerator:
     family: int  # 1..4
     source: str  # basis class u
     j: int  # e-power multiplying the ladder
-    value: ExClass
+    value: F2Vector  # bit j*N + i for e^j x_i, as in exdiv
 
     @property
     def is_zero(self) -> bool:
@@ -71,7 +71,7 @@ def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
             value = base
             for j in range(j_max + 1):
                 if j > 0:
-                    value = exdiv.e_multiply(value)
+                    value = exdiv.e_multiply(d, value)
                 out.append(KernelGenerator(family, name, j, value))
     return out
 
@@ -86,11 +86,8 @@ def kernel_dimensions(d: ManifoldDescriptor, mode: str = "all") -> dict[int, int
     {0: 1, 1: 1, 2: 2, 3: 2, 4: 12, 5: 1}
     """
     gens = kernel_generators(d, mode)
-    width = len(d.module.basis)
-    # one row per generator: coefficient j of e^j in bits j*width and up
     dims = once(d, ("kernel_dimensions", mode), lambda: gf2.span_dims_by_degree(
-        (g.value.degree, sum(c << j * width for j, c in enumerate(g.value.coeffs)))
-        for g in gens))
+        (g.value.degree, g.value.mask) for g in gens))
     return dict(dims)
 
 
@@ -112,9 +109,12 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     Any kernel element w of even total degree 2k decomposes as
     w = sum_j e^j c_j. For every l with 2l > k: if all coefficients above
     e-power k-l vanish, the coefficient at e-power k-l must vanish too.
+    Only l = k - p, for p the leading e-power of w, can break this.
     Random F2-combinations of same-degree generators are tested; the report
     carries one summary entry, or one failure per counterexample found.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(
             f"{d.name}: the divisibility corollary assumes Sq^1 = 0")
@@ -128,6 +128,7 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
     rng = random.Random(seed)
+    width = len(d.module.basis)
     degrees = sorted(by_degree)
     tested = 0
     for _ in range(samples):
@@ -136,26 +137,23 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         picked = [g for g in pool if rng.getrandbits(1)]
         if not picked:
             continue
-        w = picked[0].value
-        for g in picked[1:]:
-            w = w + g.value
+        w = 0
+        for g in picked:
+            w ^= g.value.mask
         tested += 1
-        if w.is_zero():
+        if not w:
             continue
         k = degree // 2
-        lead = w.leading_power()
-        for l in range(k // 2 + 1, k + 1):
-            p = k - l
-            if p < 0 or p >= d.n:
-                continue
-            if lead <= p and not w.coefficient(p).is_zero():
-                rep.add("corollary", FAIL, {
-                    "degree": degree,
-                    "l": l,
-                    "e_power": p,
-                    "coefficient": sorted(d.module.names(w.coeffs[p])),
-                    "combination": [(g.family, g.source, g.j) for g in picked],
-                })
+        p = (w.bit_length() - 1) // width
+        if 2 * (k - p) > k:
+            coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
+            rep.add("corollary", FAIL, {
+                "degree": degree,
+                "l": k - p,
+                "e_power": p,
+                "coefficient": sorted(d.module.names(coeff.mask)),
+                "combination": [(g.family, g.source, g.j) for g in picked],
+            })
     if rep.ok:
         rep.add("corollary", PASS,
                 f"{tested} sampled combinations satisfied the constraint")

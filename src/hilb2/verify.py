@@ -88,6 +88,8 @@ def known_answers(d: ManifoldDescriptor, table: BettiTable) -> Report:
 def run_suite(d: ManifoldDescriptor, seed: int = 0,
               samples: int = 200) -> Report:
     """Run every applicable check; deterministic for a fixed (d, seed)."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rep = Report()
 
     violations = spaces.descriptor_violations(d)

@@ -270,6 +270,23 @@ def test_check_samples_below_one_is_an_input_error(capsys):
         assert err == f"error: --samples must be at least 1, got {samples}\n"
 
 
+def test_cached_parser_keeps_no_flag_between_calls(capsys, monkeypatch):
+    seen = []
+    real = cli.verify.run_suite
+
+    def spy(d, seed, samples):
+        seen.append((seed, samples))
+        return real(d, seed=seed, samples=samples)
+
+    monkeypatch.setattr(cli.verify, "run_suite", spy)
+    code, out, _ = run(["check", "p1", "--json", "--seed", "4"], capsys)
+    assert code == 0 and json.loads(out)
+    code, out, _ = run(["check", "p1"], capsys)
+    assert code == 0 and out.startswith("[pass] validate: ")
+    assert seen == [(4, 200), (0, 200)]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_check_fails_on_invalid_descriptor(tmp_path, capsys):
     obj = descriptor_obj(n=1, degrees=[0, 0, 2])
     code, out, _ = run(["check", write_descriptor(tmp_path, obj)], capsys)

@@ -1,16 +1,20 @@
 """Kernel of the pushforward from the exceptional divisor."""
 
 import json
+import random
 
 import pytest
 
 from conftest import make_descriptor
 from hilb2 import (
+    KernelGenerator,
     catalog_get,
     catalog_names,
     corollary_check,
     descriptor_to_json,
     e_multiply,
+    from_base,
+    kernel,
     kernel_dimensions,
     kernel_generators,
     load_descriptor,
@@ -87,7 +91,7 @@ def test_generators_stable_under_e_multiplication():
             nxt = gens.get((family, source, j + 1))
             if nxt is None or value.is_zero():
                 continue
-            assert e_multiply(value) == nxt, (name, family, source, j)
+            assert e_multiply(d, value) == nxt, (name, family, source, j)
 
 
 def test_bockstein_adds_kernel_classes():
@@ -139,3 +143,64 @@ def test_corollary_check_is_deterministic():
     b = corollary_check(d, samples=50, seed=9)
     assert [(e.check, e.status, e.details) for e in a.entries] == \
         [(e.check, e.status, e.details) for e in b.entries]
+
+
+def test_corollary_check_rejects_samples_below_one():
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            corollary_check(catalog_get("p2"), samples=samples)
+
+
+def test_corollary_check_fails_on_a_planted_counterexample(monkeypatch):
+    # h2 on its own in degree 4 = 2k, k = 2: the e^0 coefficient is nonzero
+    # with nothing above it, and l = 2 satisfies 2l > k
+    d = catalog_get("p2")
+    h2 = from_base(d, d.module.basis_vector("h2"))
+    planted = [KernelGenerator(1, "h2", 0, h2)]
+    monkeypatch.setattr(kernel, "kernel_generators", lambda d, mode: planted)
+    rep = corollary_check(d, samples=1, seed=0)
+    assert [(e.check, e.status, e.details) for e in rep.entries] == [
+        ("corollary", "fail", {"degree": 4, "l": 2, "e_power": 0,
+                               "coefficient": ["h2"],
+                               "combination": [(1, "h2", 0)]})]
+    # e*h leads at e-power 1, and l = 1 fails 2l > k
+    eh = e_multiply(d, from_base(d, d.module.basis_vector("h")))
+    planted[:] = [KernelGenerator(1, "h", 1, eh)]
+    rep = corollary_check(d, samples=20, seed=0)
+    assert rep.ok and rep.statuses() == {"corollary": "pass"}
+    # on p3, e*h3 in degree 8 = 2k, k = 4, leads at e-power 1: l = 3
+    d = catalog_get("p3")
+    planted[:] = [KernelGenerator(1, "h3", 1, e_multiply(
+        d, from_base(d, d.module.basis_vector("h3"))))]
+    rep = corollary_check(d, samples=1, seed=0)
+    assert [e.details for e in rep.failures] == [
+        {"degree": 8, "l": 3, "e_power": 1, "coefficient": ["h3"],
+         "combination": [(1, "h3", 1)]}]
+
+
+def _failures_by_l_loop(w, k, n, width):
+    """Reference scan over every l with 2l > k: (l, k - l) for each l whose
+    e-power k - l carries a nonzero coefficient with nothing above it."""
+    coeffs = [(w >> j * width) & ((1 << width) - 1) for j in range(n)]
+    lead = max(j for j in range(n) if coeffs[j])
+    out = []
+    for l in range(k // 2 + 1, k + 1):
+        p = k - l
+        if p < 0 or p >= n:
+            continue
+        if lead <= p and coeffs[p]:
+            out.append((l, p))
+    return out
+
+
+def test_leading_power_test_matches_the_l_loop():
+    rng = random.Random(11)
+    for _ in range(3000):
+        n, width = rng.randint(1, 6), rng.randint(1, 5)
+        k = rng.randint(0, 2 * n)
+        w = rng.getrandbits(n * width) >> rng.randrange(n * width)
+        if not w:
+            continue
+        p = (w.bit_length() - 1) // width
+        want = [(k - p, p)] if 2 * (k - p) > k else []
+        assert _failures_by_l_loop(w, k, n, width) == want, (w, k, n, width)

@@ -90,6 +90,14 @@ def test_run_suite_statuses_enriques():
     assert statuses["euler"] == "pass"
 
 
+def test_run_suite_rejects_samples_below_one():
+    # enriques_x skips the corollary (Sq^1 != 0), so run_suite checks itself
+    for name in ("p2", "enriques_x"):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                run_suite(catalog_get(name), samples=samples)
+
+
 def test_run_suite_is_deterministic():
     a = run_suite(catalog_get("p3"), seed=4, samples=64)
     b = run_suite(catalog_get("p3"), seed=4, samples=64)
