@@ -19,8 +19,15 @@ real dimension 2n vanishes). The sq list gives the nonzero values of Sq^k
 on basis classes; an absent pair means zero. The cup list, if present, is
 a complete symmetric product table over positive-degree classes (absent
 pairs multiply to zero; products with the unique degree-0 class are
-implicit). The integral flags describe the integral cohomology of X and
-default to false. Unknown keys are rejected everywhere.
+implicit). A class appears at most once in a to or result list. The
+integral flags describe the integral cohomology of X and default to false.
+Unknown keys are rejected everywhere.
+
+parse_descriptor keeps one map from class name to index, and class i is
+bit i of a mask. It stores the sq list as k -> {class index -> mask},
+nonzero rows only, and the cup list as (i, j) with i <= j -> mask; see
+steenrod.UnstableModule. Reports and exports name the classes of a mask
+in basis order.
 
 load_descriptor returns a fully validated descriptor or raises:
 DescriptorError (with a location) for structural problems, InvalidDescriptor
@@ -162,7 +169,7 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     n = raw["complex_dimension"]
 
     basis: list[tuple[str, int]] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}  # class name -> its bit in a mask
     for i, cls in enumerate(raw["classes"]):
         where = f"classes[{i}]"
         if not isinstance(cls, dict):
@@ -171,43 +178,46 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         name, degree = cls["name"], cls["degree"]
         if not name or not name.isascii():
             raise DescriptorError("class names must be nonempty ASCII", where)
-        if name in seen:
+        if name in index:
             raise DescriptorError(f"duplicate class name {name!r}", where)
         if isinstance(degree, bool) or degree < 0:
             raise DescriptorError("degree must be an integer >= 0", where)
-        seen.add(name)
+        index[name] = len(basis)
         basis.append((name, degree))
-    degree_of = dict(basis)
 
-    sq: dict[int, dict[str, frozenset]] = {}
+    def mask_of(names: list, role: str, where: str) -> int:
+        mask = 0
+        for t in names:
+            if not isinstance(t, str) or t not in index:
+                raise DescriptorError(f"unknown class {t!r}", where)
+            bit = 1 << index[t]
+            if mask & bit:
+                raise DescriptorError(f"repeated {role} {t!r}", where)
+            mask |= bit
+        return mask
+
+    sq: dict[int, dict[int, int]] = {}
     sq_seen: set[tuple[int, str]] = set()
     for i, entry in enumerate(raw.get("sq", [])):
         where = f"sq[{i}]"
         if not isinstance(entry, dict):
             raise DescriptorError("sq entries must be objects", where)
         _expect_keys(entry, {"k": int, "from": str, "to": list}, {}, where)
-        k, src, targets = entry["k"], entry["from"], entry["to"]
+        k, src = entry["k"], entry["from"]
         if isinstance(k, bool) or k < 1:
             raise DescriptorError("'k' must be an integer >= 1", where)
-        if src not in degree_of:
+        if src not in index:
             raise DescriptorError(f"unknown class {src!r}", where)
-        tset = set()
-        for t in targets:
-            if not isinstance(t, str) or t not in degree_of:
-                raise DescriptorError(f"unknown class {t!r}", where)
-            if t in tset:
-                raise DescriptorError(f"repeated target {t!r}", where)
-            tset.add(t)
+        mask = mask_of(entry["to"], "target", where)
         if (k, src) in sq_seen:
             raise DescriptorError(f"duplicate sq entry for k={k} from {src!r}",
                                   where)
         sq_seen.add((k, src))
-        if tset:
-            sq.setdefault(k, {})[src] = frozenset(tset)
+        if mask:
+            sq.setdefault(k, {})[index[src]] = mask
 
     unit = next((name for name, deg in basis if deg == 0), None)
-    index = {name: i for i, (name, _) in enumerate(basis)}
-    cup: dict[tuple, frozenset] | None = None
+    cup: dict[tuple, int] | None = None
     if "cup" in raw:
         cup = {}
         for i, entry in enumerate(raw["cup"]):
@@ -217,20 +227,17 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
             _expect_keys(entry, {"a": str, "b": str, "result": list}, {}, where)
             a, b = entry["a"], entry["b"]
             for name in (a, b):
-                if name not in degree_of:
+                if name not in index:
                     raise DescriptorError(f"unknown class {name!r}", where)
             if unit in (a, b):
                 raise DescriptorError(
                     "products with the degree-0 class are implicit", where)
-            rset = set()
-            for t in entry["result"]:
-                if not isinstance(t, str) or t not in degree_of:
-                    raise DescriptorError(f"unknown class {t!r}", where)
-                rset.add(t)
-            key = (a, b) if index[a] <= index[b] else (b, a)
+            mask = mask_of(entry["result"], "result", where)
+            key = tuple(sorted((index[a], index[b])))
             if key in cup:
-                raise DescriptorError(f"duplicate cup entry for {key}", where)
-            cup[key] = frozenset(rset)
+                pair = tuple(basis[j][0] for j in key)
+                raise DescriptorError(f"duplicate cup entry for {pair}", where)
+            cup[key] = mask
 
     flags = IntegralFlags()
     if "integral" in raw:
@@ -283,6 +290,15 @@ def _violations(d: ManifoldDescriptor) -> Report:
         if table is not None and not table.is_palindromic():
             rep.add("compactness-symmetry", FAIL,
                     f"mod-2 Betti numbers {table.as_row()} are not palindromic")
+        # Sq^1 into the top degree is the cup product with v_1 = w_1, which
+        # vanishes on a closed complex manifold (it is orientable)
+        for i in sorted(m.sq.get(1, ())):
+            name, deg = m.basis[i]
+            if deg == 2 * d.n - 1:
+                rep.add("orientability", FAIL,
+                        f"Sq^1 {name} is nonzero, but Sq^1 on H^{deg} is the "
+                        "cup product with w_1, which vanishes on a closed "
+                        "complex manifold")
     flags = d.integral
     if flags.torsion_free and not flags.two_torsion_free:
         rep.add("torsion-flags", FAIL,
@@ -317,19 +333,14 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
         "compact": d.compact,
         "classes": [{"name": name, "degree": deg} for name, deg in m.basis],
     }
-    sq_rows = [
-        {"k": k, "from": src, "to": sorted(m.sq[k][src], key=m.index)}
-        for k in sorted(m.sq)
-        for src in sorted(m.sq[k], key=m.index)
-        if m.sq[k][src]
-    ]
+    sq_rows = [{"k": k, "from": m.basis[i][0], "to": m.names(mask)}
+               for k in sorted(m.sq) for i, mask in sorted(m.sq[k].items())]
     if sq_rows:
         out["sq"] = sq_rows
     if m.cup is not None:
-        out["cup"] = [
-            {"a": a, "b": b, "result": sorted(m.cup[(a, b)], key=m.index)}
-            for a, b in sorted(m.cup, key=lambda p: (m.index(p[0]), m.index(p[1])))
-        ]
+        out["cup"] = [{"a": m.basis[i][0], "b": m.basis[j][0],
+                       "result": m.names(mask)}
+                      for (i, j), mask in sorted(m.cup.items())]
     out["integral"] = {
         "two_torsion_free": d.integral.two_torsion_free,
         "torsion_free": d.integral.torsion_free,

@@ -294,6 +294,26 @@ def test_check_fails_on_invalid_descriptor(tmp_path, capsys):
     assert "connectedness" in out
 
 
+def test_check_rejects_sq1_into_the_top_degree(tmp_path, capsys):
+    # w_1 = v_1 = 0 on a closed complex manifold, so Sq^1: H^3 -> H^4 of
+    # a complex surface vanishes
+    obj = json.loads(catalog_text("elliptic_y"))
+    obj["sq"] = [{"k": 1, "from": "s", "to": ["top"]}]
+    code, out, _ = run(["check", write_descriptor(tmp_path, obj)], capsys)
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "[fail] orientability: Sq^1 s is nonzero, but Sq^1 on H^3 is the "
+        "cup product with w_1, which vanishes on a closed complex manifold")
+
+
+def test_repeated_cup_result_exits_one(tmp_path, capsys):
+    obj = json.loads(catalog_text("p2"))
+    obj["cup"][0]["result"] = ["h2", "h2"]
+    code, _, err = run(["check", write_descriptor(tmp_path, obj)], capsys)
+    assert code == 1
+    assert err == "error: cup[0]: repeated result 'h2'\n"
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(["catalog", "list"], capsys)
     assert code == 0

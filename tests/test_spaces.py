@@ -87,14 +87,18 @@ def test_negative_or_bool_degree_rejected():
 
 def test_sq_entry_errors_carry_location():
     base = dict(n=1, degrees=[0, 1, 2])
-    for sq in ([{"k": 0, "from": "c1", "to": ["c2"]}],
-               [{"k": 1, "from": "ghost", "to": ["c2"]}],
-               [{"k": 1, "from": "c1", "to": ["ghost"]}],
-               [{"k": 1, "from": "c1", "to": ["c2", "c2"]}]):
+    for sq, message in (
+            ([{"k": 0, "from": "c1", "to": ["c2"]}],
+             "'k' must be an integer >= 1"),
+            ([{"k": 1, "from": "ghost", "to": ["c2"]}], "unknown class 'ghost'"),
+            ([{"k": 1, "from": "c1", "to": ["ghost"]}], "unknown class 'ghost'"),
+            ([{"k": 1, "from": "c1", "to": ["c2", "c2"]}],
+             "repeated target 'c2'")):
         obj = descriptor_obj(sq=sq, **base)
         with pytest.raises(DescriptorError) as exc:
             parse(obj)
         assert exc.value.location == "sq[0]"
+        assert str(exc.value) == f"sq[0]: {message}"
 
 
 def test_duplicate_sq_entry_rejected_even_with_empty_first():
@@ -128,6 +132,8 @@ def test_cup_duplicate_under_reordering_rejected():
     with pytest.raises(DescriptorError) as exc:
         parse(obj)
     assert exc.value.location == "cup[1]"
+    # the pair prints by name, in basis order
+    assert str(exc.value) == "cup[1]: duplicate cup entry for ('c1', 'c2')"
 
 
 def test_integral_flags_parse_strictly():
@@ -249,3 +255,15 @@ def test_export_orders_keys_canonically():
     p2 = json.loads(descriptor_to_json(catalog_get("p2")))
     assert list(p2) == ["name", "complex_dimension", "compact", "classes",
                         "sq", "cup", "integral"]
+    # rows, and the classes within a row, come out in basis order
+    d = parse(descriptor_obj(
+        n=1, degrees=[0, 1, 1, 2, 2],
+        sq=[{"k": 1, "from": "c2", "to": ["c4", "c3"]},
+            {"k": 1, "from": "c1", "to": ["c3"]}],
+        cup=[{"a": "c2", "b": "c1", "result": ["c4", "c3"]},
+             {"a": "c1", "b": "c1", "result": []}]))
+    obj = json.loads(descriptor_to_json(d))
+    assert obj["sq"] == [{"k": 1, "from": "c1", "to": ["c3"]},
+                         {"k": 1, "from": "c2", "to": ["c3", "c4"]}]
+    assert obj["cup"] == [{"a": "c1", "b": "c1", "result": []},
+                          {"a": "c1", "b": "c2", "result": ["c3", "c4"]}]
