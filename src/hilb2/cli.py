@@ -153,8 +153,6 @@ def cmd_kernel(args) -> int:
         print(" ".join(f"{k}:{v}" for k, v in sorted(dims.items())))
     if args.generators:
         for g in kernel.kernel_generators(d):
-            if g.is_zero:
-                continue
             if args.degree is not None and g.value.degree != args.degree:
                 continue
             rendered = exdiv.format_exclass(d, g.value)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from . import steenrod
 from .gf2 import F2Vector
 from .spaces import BettiTable, ManifoldDescriptor, ladder_counts
+from .steenrod import UnknownClass
 
 
 class OutOfRange(ValueError):
@@ -62,21 +63,30 @@ def e_multiply(d: ManifoldDescriptor, c: F2Vector) -> F2Vector:
 
 def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
             first_sq: int, degree: int) -> F2Vector:
-    """sum_{i=0}^{top_power} e^(top_power - i) Sq^(first_sq + 2i) u."""
-    width = len(d.module.basis)
+    """sum_{i=0}^{top_power} e^(top_power - i) Sq^(first_sq + 2i) u.
+
+    The stored nonzero squares of u are read once, so the cost follows them
+    and not the length of the ladder.
+    """
+    m = d.module
+    width = len(m.basis)
+    if u.mask >> width:
+        raise UnknownClass(f"bit {u.mask.bit_length() - 1} is not a basis class")
+    squares = steenrod._squares_of(m._squares, u.mask, u.degree)
+    squares[0] = u.mask
     mask = 0
-    for i in range(top_power + 1):
-        power = top_power - i
-        val = steenrod.sq(d.module, first_sq + 2 * i, u)
-        if val.is_zero():
+    for k, val in squares.items():
+        i, odd = divmod(k - first_sq, 2)
+        if not val or odd or not 0 <= i <= top_power:
             continue
+        power = top_power - i
         if power >= d.n:
             # only reachable for deg(u) = 2n, where the whole group
             # H^(4n)(E) of a (4n-2)-manifold vanishes
             if degree > 4 * d.n - 2:
                 return F2Vector(degree)
             raise OutOfRange(f"ladder term e^{power} exceeds e^{d.n - 1}")
-        mask |= val.mask << power * width
+        mask |= val << power * width
     return F2Vector(degree, mask)
 
 

@@ -4,7 +4,9 @@ A vector is a degree and an int mask, addition is XOR, and class names
 appear only where descriptors are parsed and results printed. One F2Vector
 type serves H*(X; F_2) and H*(E_X; F_2): on X bit i stands for basis class i
 in declaration order; on E_X bit j*N + i stands for e^j x_i, N the basis
-size (see exdiv). Rank is computed by elimination on the lowest set bit.
+size (see exdiv). Rank is computed by elimination on the leading set bit,
+so rows that already have distinct leading bits, such as the triangular
+kernel ladders, become pivots without a single XOR.
 """
 
 from __future__ import annotations
@@ -52,22 +54,22 @@ class F2Vector:
 
 
 def _rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank of int rows; one stored pivot row per lowest set bit.
+    """Rank of int rows; one stored pivot row per leading bit.
 
     >>> _rank_of_rows([0b011, 0b110, 0b101])
     2
     >>> _rank_of_rows([0b01, 0b10, 0b11])
     2
     """
-    pivots: dict[int, int] = {}
+    pivots: dict[int, int] = {}  # bit_length -> the pivot row leading there
     for row in rows:
         while row:
-            low = row & -row
-            if low in pivots:
-                row ^= pivots[low]
-            else:
-                pivots[low] = row
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
+            row ^= pivot
     return len(pivots)
 
 

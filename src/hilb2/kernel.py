@@ -12,14 +12,19 @@ Families 1 and 2 are the even-square ladders (boundary_with_b for even u,
 boundary_no_b for odd u); when Sq^1 = 0 they alone form a basis of the
 kernel, being triangular with distinct leading terms e^(j+a) u. Families 3
 and 4 are the odd-square ladders and vanish identically when Sq^1 = 0.
-Generators whose ladder collapses to zero are kept, flagged, so the span
-computation and the reports can account for them.
+
+Each ladder is computed once, at j = 0, and its e^j shifts are the same bits
+moved up j blocks of N (see exdiv). A ladder that collapses to zero
+contributes no generators, so every listed generator is nonzero.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import Iterable
 
 from . import exdiv, gf2, steenrod
 from .gf2 import F2Vector
@@ -44,7 +49,8 @@ class KernelGenerator:
 
 def kernel_generators(d: ManifoldDescriptor,
                       mode: str = "all") -> list[KernelGenerator]:
-    """All generators in declaration order of u, families inner, j innermost.
+    """The nonzero generators in declaration order of u, families inner, j
+    innermost; a zero ladder is not listed.
 
     mode "families12" keeps only the even-square ladders (the basis in the
     Sq^1 = 0 case); mode "all" emits all four families. The list is built
@@ -57,9 +63,10 @@ def kernel_generators(d: ManifoldDescriptor,
 
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
+    width = len(d.module.basis)
     out: list[KernelGenerator] = []
-    for name, deg in d.module.basis:
-        u = d.module.basis_vector(name)
+    for i, (name, deg) in enumerate(d.module.basis):
+        u = F2Vector(deg, 1 << i)
         a = deg // 2
         if deg % 2 == 0:
             ladders = [(1, exdiv.boundary_with_b(d, u), d.n - 1 - a),
@@ -68,11 +75,13 @@ def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
             ladders = [(2, exdiv.boundary_no_b(d, u), d.n - 1 - a),
                        (4, exdiv.boundary_with_b(d, u), d.n - 2 - a)]
         for family, base, j_max in ladders:
-            value = base
-            for j in range(j_max + 1):
-                if j > 0:
-                    value = exdiv.e_multiply(d, value)
-                out.append(KernelGenerator(family, name, j, value))
+            if base.is_zero():
+                continue
+            # e^j times the ladder; its top e-power stays below n, so no
+            # e^n carry can occur (see exdiv.e_multiply)
+            out.extend(KernelGenerator(family, name, j, F2Vector(
+                base.degree + 2 * j, base.mask << j * width))
+                for j in range(j_max + 1))
     return out
 
 
@@ -93,10 +102,7 @@ def kernel_dimensions(d: ManifoldDescriptor, mode: str = "all") -> dict[int, int
 
 def redundant_degrees(d: ManifoldDescriptor) -> dict[int, tuple[int, int]]:
     """Degrees where the four families overlap: degree -> (count, dimension)."""
-    counts: dict[int, int] = {}
-    for g in kernel_generators(d, "all"):
-        if not g.is_zero:
-            counts[g.value.degree] = counts.get(g.value.degree, 0) + 1
+    counts = Counter(g.value.degree for g in kernel_generators(d, "all"))
     dims = kernel_dimensions(d, "all")
     return {deg: (counts[deg], dims[deg]) for deg in sorted(counts)
             if counts[deg] != dims[deg]}
@@ -112,21 +118,29 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     Only l = k - p, for p the leading e-power of w, can break this.
     Random F2-combinations of same-degree generators are tested; the report
     carries one summary entry, or one failure per counterexample found.
+    Where the generators of a degree have distinct leading bits, as families
+    1-2 do, the leading e-power of a combination is read off its top summand;
+    masks are summed only when leading bits collide or to report a failure.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(
             f"{d.name}: the divisibility corollary assumes Sq^1 = 0")
-    gens = [g for g in kernel_generators(d, "all")
-            if not g.is_zero and g.value.degree % 2 == 0]
     by_degree: dict[int, list[KernelGenerator]] = {}
-    for g in gens:
-        by_degree.setdefault(g.value.degree, []).append(g)
+    for g in kernel_generators(d, "all"):
+        if g.value.degree % 2 == 0:
+            by_degree.setdefault(g.value.degree, []).append(g)
     rep = Report()
     if not by_degree:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
+    # where the leading bits of a degree are distinct, a sum leads where its
+    # top summand does
+    leads = {degree: [g.value.mask.bit_length() for g in pool]
+             for degree, pool in by_degree.items()}
+    distinct = {degree: len(set(bits)) == len(bits)
+                for degree, bits in leads.items()}
     rng = random.Random(seed)
     width = len(d.module.basis)
     degrees = sorted(by_degree)
@@ -134,19 +148,22 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     for _ in range(samples):
         degree = degrees[rng.randrange(len(degrees))]
         pool = by_degree[degree]
-        picked = [g for g in pool if rng.getrandbits(1)]
-        if not picked:
+        # one random bit per generator, drawn in pool order
+        picks = list(map(rng.getrandbits, repeat(1, len(pool))))
+        if not any(picks):
             continue
-        w = 0
-        for g in picked:
-            w ^= g.value.mask
         tested += 1
-        if not w:
-            continue
+        if distinct[degree]:
+            lead = max(compress(leads[degree], picks))
+        else:
+            lead = _sum(compress(pool, picks)).bit_length()
+            if not lead:
+                continue
         k = degree // 2
-        p = (w.bit_length() - 1) // width
+        p = (lead - 1) // width
         if 2 * (k - p) > k:
-            coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
+            picked = list(compress(pool, picks))
+            coeff = exdiv.coefficient(d, F2Vector(degree, _sum(picked)), p)
             rep.add("corollary", FAIL, {
                 "degree": degree,
                 "l": k - p,
@@ -158,3 +175,10 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         rep.add("corollary", PASS,
                 f"{tested} sampled combinations satisfied the constraint")
     return rep
+
+
+def _sum(gens: Iterable[KernelGenerator]) -> int:
+    w = 0
+    for g in gens:
+        w ^= g.value.mask
+    return w

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from . import steenrod
+from . import gf2, steenrod
 from .report import FAIL, Report
 from .steenrod import UnstableModule
 
@@ -282,7 +282,8 @@ def _violations(d: ManifoldDescriptor) -> Report:
                     "connected noncompact manifold of real dimension "
                     f"{deg} vanishes")
     if d.compact:
-        if len(m.classes_in_degree(2 * d.n)) != 1:
+        tops = m.classes_in_degree(2 * d.n)
+        if len(tops) != 1:
             rep.add("compactness-symmetry", FAIL,
                     f"compact descriptor needs exactly one class in degree {2 * d.n}")
         # the row of X has no place for a class above 2n
@@ -299,6 +300,12 @@ def _violations(d: ManifoldDescriptor) -> Report:
                         f"Sq^1 {name} is nonzero, but Sq^1 on H^{deg} is the "
                         "cup product with w_1, which vanishes on a closed "
                         "complex manifold")
+        if table is not None:
+            _check_sq1_self_adjoint(d, rep)
+            # the pairing is read against the one unit and the one top class
+            if (m.cup is not None and len(units) == len(tops) == 1
+                    and table.is_palindromic()):
+                _check_cup_pairing(d, table, rep)
     flags = d.integral
     if flags.torsion_free and not flags.two_torsion_free:
         rep.add("torsion-flags", FAIL,
@@ -313,6 +320,54 @@ def _violations(d: ManifoldDescriptor) -> Report:
                 "torsion_free with even_degrees_only rules out classes of odd "
                 f"degree, but {len(odd)} are given, the first {odd[0]!r}")
     return rep
+
+
+def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
+    """On a closed manifold with w_1 = 0, Sq^1 on H^k and Sq^1 on H^(2n-k-1)
+    are adjoint under the cup pairing, so their ranks agree (Milnor-Stasheff
+    section 11). The pair k = 0 is left to instability and orientability."""
+    m, top = d.module, 2 * d.n
+    rows = _rows_by_degree(m, m.sq.get(1, {}))
+    for k in range(1, d.n):
+        low = gf2._rank_of_rows(rows.get(k, ()))
+        high = gf2._rank_of_rows(rows.get(top - 1 - k, ()))
+        if low != high:
+            rep.add("sq1-self-adjoint", FAIL,
+                    f"rank Sq^1 on H^{k} is {low} but on H^{top - 1 - k} it "
+                    f"is {high}; on a closed orientable manifold they agree")
+
+
+def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable,
+                       rep: Report) -> None:
+    """Poincare duality: for every k the pairing H^k x H^(2n-k) -> H^2n is
+    nondegenerate, so the rows of pairings of the classes of degree k have
+    rank b_k. Only the stored cup entries into the top degree are read."""
+    m, top = d.module, 2 * d.n
+    u, t = m.index(m.unit()), m.index(m.classes_in_degree(top)[0])
+    # class index -> mask of the classes it pairs to the top class with
+    pairs = {u: 1 << t, t: 1 << u}
+    for (i, j), mask in m.cup.items():
+        if mask >> t & 1 and m.basis[i][1] + m.basis[j][1] == top:
+            pairs[i] = pairs.get(i, 0) ^ 1 << j
+            if i != j:
+                pairs[j] = pairs.get(j, 0) ^ 1 << i
+    rows = _rows_by_degree(m, pairs)
+    # the pairing is symmetric, so degree 2n - k repeats the rank of degree k
+    for k in range(d.n + 1):
+        rank = gf2._rank_of_rows(rows.get(k, ()))
+        if rank != table.dim(k):
+            rep.add("cup-pairing", FAIL,
+                    f"the cup pairing H^{k} x H^{top - k} -> H^{top} has rank "
+                    f"{rank}, not b_{k} = {table.dim(k)}; Poincare duality "
+                    "needs it nondegenerate")
+
+
+def _rows_by_degree(m: UnstableModule, rows: Mapping[int, int]) -> dict:
+    """{class index -> mask} rows grouped by the degree of their class."""
+    out: dict[int, list[int]] = {}
+    for i, mask in rows.items():
+        out.setdefault(m.basis[i][1], []).append(mask)
+    return out
 
 
 def load_descriptor(text: str | bytes) -> ManifoldDescriptor:

@@ -224,11 +224,11 @@ MUTANTS = [
      lambda obj: _set_sq(obj, 1, "t2", ["s"])),
     ("enriques adds Sq^2 t = s", "enriques_x", "rejected",
      lambda obj: _set_sq(obj, 2, "t", ["s"])),
-    ("enriques drops Sq^1 t", "enriques_x", "suite-failure",
+    ("enriques drops Sq^1 t", "enriques_x", "rejected",
      lambda obj: _drop_sq(obj, 1, "t")),
-    ("enriques drops Sq^1 x1", "enriques_x", "suite-failure",
+    ("enriques drops Sq^1 x1", "enriques_x", "rejected",
      lambda obj: _drop_sq(obj, 1, "x1")),
-    ("elliptic adds Sq^1 t = y1", "elliptic_y", "suite-failure",
+    ("elliptic adds Sq^1 t = y1", "elliptic_y", "rejected",
      lambda obj: _set_sq(obj, 1, "t", ["y1"])),
 ]
 

@@ -140,9 +140,12 @@ def test_methods_agree_including_a_top_degree_class():
 
 
 def test_adding_bockstein_never_raises_hilb2_dimensions():
-    plain = make_descriptor(n=2, degrees=[0, 1, 2, 3, 4])
-    twisted = make_descriptor(n=2, degrees=[0, 1, 2, 3, 4],
-                              sq=[{"k": 1, "from": "c1", "to": ["c2"]}])
+    # Sq^1 of rank 1 on both H^1 and H^2, as duality on a closed 4-manifold
+    # asks
+    plain = make_descriptor(n=2, degrees=[0, 1, 2, 2, 3, 4])
+    twisted = make_descriptor(n=2, degrees=[0, 1, 2, 2, 3, 4],
+                              sq=[{"k": 1, "from": "c1", "to": ["c2"]},
+                                  {"k": 1, "from": "c3", "to": ["c4"]}])
     a = betti_hilb2_exact(twisted)
     b = betti_hilb2_exact(plain)
     assert all(a.dim(k) <= b.dim(k) for k in range(4 * 2 + 1))

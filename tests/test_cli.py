@@ -306,6 +306,19 @@ def test_check_rejects_sq1_into_the_top_degree(tmp_path, capsys):
         "cup product with w_1, which vanishes on a closed complex manifold")
 
 
+def test_check_rejects_duality_breaking_inputs(tmp_path, capsys):
+    # enriques_x with only Sq^1 x1 = s, and p3 without h cup h2, are no
+    # closed manifolds: Sq^1 is not self-adjoint, the cup pairing degenerates
+    enriques = json.loads(catalog_text("enriques_x"))
+    enriques["sq"] = [e for e in enriques["sq"] if e["from"] != "t"]
+    p3 = json.loads(catalog_text("p3"))
+    p3["cup"] = [e for e in p3["cup"] if (e["a"], e["b"]) != ("h", "h2")]
+    for obj, check in ((enriques, "sq1-self-adjoint"), (p3, "cup-pairing")):
+        code, out, _ = run(["check", write_descriptor(tmp_path, obj)], capsys)
+        assert code == 2
+        assert out.splitlines()[-1].startswith(f"[fail] {check}: ")
+
+
 def test_repeated_cup_result_exits_one(tmp_path, capsys):
     obj = json.loads(catalog_text("p2"))
     obj["cup"][0]["result"] = ["h2", "h2"]

@@ -1,0 +1,281 @@
+"""The kernel layer against direct reference implementations.
+
+The references do the plain thing at every step: elimination on the lowest
+set bit, one sq() call per ladder term, every e^j generator by repeated
+e_multiply (zero ladders listed too), and a corollary sample that sums the
+masks of every picked generator. The library reads the stored squares once,
+shifts each ladder's bits, pivots on leading bits and sums masks only where
+leading bits collide; on random Sq tables, Sq^1 != 0 included, and on
+planted generator pools, both must give the same answers.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilb2 import corollary_check, exdiv, kernel, kernel_dimensions, kernel_generators
+from hilb2.exdiv import OutOfRange
+from hilb2.gf2 import F2Vector, _rank_of_rows, span_dims_by_degree
+from hilb2.kernel import KernelGenerator
+from hilb2.report import FAIL, PASS, Report
+from hilb2.spaces import parse_descriptor
+from hilb2.steenrod import sq
+
+
+def rank_by_lowest_bit(rows):
+    pivots = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low in pivots:
+                row ^= pivots[low]
+            else:
+                pivots[low] = row
+                break
+    return len(pivots)
+
+
+def ladder_by_sq(d, u, top_power, first_sq, degree):
+    width = len(d.module.basis)
+    mask = 0
+    for i in range(top_power + 1):
+        power = top_power - i
+        val = sq(d.module, first_sq + 2 * i, u)
+        if val.is_zero():
+            continue
+        if power >= d.n:
+            if degree > 4 * d.n - 2:
+                return F2Vector(degree)
+            raise OutOfRange(f"ladder term e^{power} exceeds e^{d.n - 1}")
+        mask |= val.mask << power * width
+    return F2Vector(degree, mask)
+
+
+def generators_by_e_multiply(d):
+    """(family, source, j, value) for every generator, zero ones included."""
+    out = []
+    for name, deg in d.module.basis:
+        u = d.module.basis_vector(name)
+        a = deg // 2
+        if deg % 2 == 0:
+            ladders = [(1, ladder_by_sq(d, u, a, 0, 2 * deg), d.n - 1 - a),
+                       (3, ladder_by_sq(d, u, a - 1, 1, 2 * deg - 1), d.n - 1 - a)]
+        else:
+            ladders = [(2, ladder_by_sq(d, u, a, 0, 2 * deg - 1), d.n - 1 - a),
+                       (4, ladder_by_sq(d, u, a, 1, 2 * deg), d.n - 2 - a)]
+        for family, value, j_max in ladders:
+            for j in range(j_max + 1):
+                if j > 0:
+                    value = exdiv.e_multiply(d, value)
+                out.append((family, name, j, value))
+    return out
+
+
+def corollary_by_xor(d, gens, samples, seed):
+    """The sampled divisibility check, summing every picked combination."""
+    by_degree = {}
+    for g in gens:
+        if not g.is_zero and g.value.degree % 2 == 0:
+            by_degree.setdefault(g.value.degree, []).append(g)
+    rep = Report()
+    if not by_degree:
+        rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
+        return rep
+    rng = random.Random(seed)
+    width = len(d.module.basis)
+    degrees = sorted(by_degree)
+    tested = 0
+    for _ in range(samples):
+        degree = degrees[rng.randrange(len(degrees))]
+        picked = [g for g in by_degree[degree] if rng.getrandbits(1)]
+        if not picked:
+            continue
+        w = 0
+        for g in picked:
+            w ^= g.value.mask
+        tested += 1
+        if not w:
+            continue
+        k = degree // 2
+        p = (w.bit_length() - 1) // width
+        if 2 * (k - p) > k:
+            coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
+            rep.add("corollary", FAIL, {
+                "degree": degree, "l": k - p, "e_power": p,
+                "coefficient": sorted(d.module.names(coeff.mask)),
+                "combination": [(g.family, g.source, g.j) for g in picked],
+            })
+    if rep.ok:
+        rep.add("corollary", PASS,
+                f"{tested} sampled combinations satisfied the constraint")
+    return rep
+
+
+def random_table(rng, sq1=True):
+    """A structurally parsed descriptor with a random Sq table. Squares may
+    break instability or land in the wrong degree; with sq1 False no Sq^1
+    is stored, but odd squares above it may be."""
+    n = rng.randint(1, 4)
+    compact = rng.random() < 0.5
+    high = 2 * n if compact else 2 * n - 1
+    degrees = [0] + sorted(rng.randint(1, high) for _ in range(rng.randint(0, 6)))
+    if compact:
+        degrees.append(2 * n)
+    names = [f"c{i}" for i in range(len(degrees))]
+    entries = {}
+    for _ in range(rng.randint(0, 8)):
+        src = rng.randrange(len(names))
+        k = rng.randint(1 if sq1 else 2, 2 * n + 1)
+        fits = [i for i, deg in enumerate(degrees) if deg == degrees[src] + k]
+        pool = fits if fits and rng.random() < 0.8 else range(len(names))
+        targets = rng.sample(list(pool), rng.randint(1, min(2, len(pool))))
+        entries[k, src] = [names[i] for i in sorted(targets)]
+    obj = {"name": "random", "complex_dimension": n, "compact": compact,
+           "classes": [{"name": c, "degree": deg} for c, deg in zip(names, degrees)],
+           "sq": [{"k": k, "from": names[src], "to": to}
+                  for (k, src), to in sorted(entries.items())]}
+    return parse_descriptor(json.dumps(obj))
+
+
+def _listing(gens):
+    return [(g.family, g.source, g.j, g.value.degree, g.value.mask) for g in gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_generators_and_dimensions_match_the_references(rng):
+    d = random_table(rng)
+    ref = generators_by_e_multiply(d)
+    gens = kernel_generators(d)
+    # zero ladders are not listed; everything else is, in the same order
+    assert _listing(gens) == [(f, s, j, v.degree, v.mask)
+                              for f, s, j, v in ref if not v.is_zero()]
+    assert all(not g.is_zero for g in gens)
+    by_degree = {}
+    for *_, v in ref:
+        if v.mask:
+            by_degree.setdefault(v.degree, []).append(v.mask)
+    assert kernel_dimensions(d) == {deg: rank_by_lowest_bit(rows)
+                                    for deg, rows in sorted(by_degree.items())
+                                    if rank_by_lowest_bit(rows)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_ladder_matches_one_sq_call_per_term(rng):
+    d = random_table(rng)
+    m = d.module
+    degree = rng.randint(0, 2 * d.n + 1)
+    u = F2Vector(degree, rng.getrandbits(len(m.basis)))
+    top_power, first_sq = rng.randint(-1, d.n + 1), rng.randint(0, 1)
+    out_degree = rng.choice([2 * degree - 1, 2 * degree, 4 * d.n - 2, 4 * d.n])
+    try:
+        want = ladder_by_sq(d, u, top_power, first_sq, out_degree)
+    except OutOfRange:
+        with pytest.raises(OutOfRange):
+            exdiv._ladder(d, u, top_power, first_sq, out_degree)
+    else:
+        got = exdiv._ladder(d, u, top_power, first_sq, out_degree)
+        assert (got.degree, got.mask) == (want.degree, want.mask)
+
+
+def test_ladder_carry_rule_on_explicit_cases():
+    # one class u of degree 2 with Sq^2 u = v on a surface: the ladder
+    # e^2 u + e Sq^2 u + ... reaches e^2 = e^n
+    d = parse_descriptor(json.dumps({
+        "name": "carry", "complex_dimension": 2, "compact": True,
+        "classes": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2},
+                    {"name": "v", "degree": 4}],
+        "sq": [{"k": 2, "from": "u", "to": ["v"]}]}))
+    u = d.module.basis_vector("u")
+    for top_power, degree in ((2, 6), (2, 4), (3, 6)):
+        with pytest.raises(OutOfRange):
+            ladder_by_sq(d, u, top_power, 0, degree)
+        with pytest.raises(OutOfRange):
+            exdiv._ladder(d, u, top_power, 0, degree)
+    # a degree above 4n - 2 lies in the zero group, whatever the carry
+    assert exdiv._ladder(d, u, 2, 0, 7).is_zero()
+    # only the odd squares of u are read, and it has none
+    assert exdiv._ladder(d, u, 5, 1, 5).is_zero()
+    assert exdiv._ladder(d, u, 1, 0, 4).mask == ladder_by_sq(d, u, 1, 0, 4).mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1),
+                     max_size=12))
+def test_leading_bit_rank_matches_the_lowest_bit_rank(rows):
+    assert _rank_of_rows(rows) == rank_by_lowest_bit(rows)
+    assert _rank_of_rows(rows[::-1]) == rank_by_lowest_bit(rows)
+
+
+def test_leading_bit_rank_eliminates_shared_leading_bits():
+    # all three rows lead at bit 3; only two are independent
+    assert _rank_of_rows([0b1001, 0b1010, 0b0011]) == 2
+    assert _rank_of_rows([0b1001, 0b1010, 0b1100, 0b0110]) == 3
+    assert span_dims_by_degree([(4, 0b1000), (4, 0b1000), (4, 0)]) == {4: 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_corollary_matches_the_reference_on_random_tables(rng):
+    d = random_table(rng, sq1=False)
+    samples, seed = rng.randint(1, 60), rng.randrange(1 << 16)
+    got = corollary_check(d, samples=samples, seed=seed)
+    want = corollary_by_xor(d, kernel_generators(d), samples, seed)
+    assert got.entries == want.entries
+
+
+def planted_pool(rng, d):
+    """Generators of a few even degrees whose masks share leading bits:
+    each new mask reuses the leading bit of an earlier one about half of
+    the time, and some sums cancel outright."""
+    width = len(d.module.basis)
+    span = d.n * width
+    gens = []
+    even = range(0, 4 * d.n - 1, 2)
+    for degree in rng.sample(even, rng.randint(1, min(3, len(even)))):
+        masks = []
+        for j in range(rng.randint(1, 6)):
+            if masks and rng.random() < 0.5:
+                lead = max(masks).bit_length() - 1
+                mask = 1 << lead | rng.getrandbits(lead) if lead else 1
+            else:
+                mask = rng.getrandbits(span) or 1
+            if masks and rng.random() < 0.2:
+                mask = masks[-1]  # a repeated generator cancels in pairs
+            masks.append(mask)
+            gens.append(KernelGenerator(rng.randint(1, 4), f"c{j % width}", j,
+                                        F2Vector(degree, mask)))
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_corollary_matches_the_reference_on_colliding_pools(rng):
+    d = random_table(rng, sq1=False)
+    gens = planted_pool(rng, d)
+    samples, seed = rng.randint(1, 40), rng.randrange(1 << 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
+        got = corollary_check(d, samples=samples, seed=seed)
+    assert got.entries == corollary_by_xor(d, gens, samples, seed).entries
+
+
+def test_planted_pools_do_collide_and_fail():
+    collided = failed = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        d = random_table(rng, sq1=False)
+        gens = planted_pool(rng, d)
+        leads = {}
+        for g in gens:
+            key = (g.value.degree, g.value.mask.bit_length())
+            leads[key] = leads.get(key, 0) + 1
+        collided += any(count > 1 for count in leads.values())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
+            failed += not corollary_check(d, samples=20, seed=seed).ok
+    assert collided > 30 and failed > 30

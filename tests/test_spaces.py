@@ -1,6 +1,8 @@
 """Descriptor parsing, validation, serialization, and base Betti tables."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -17,6 +19,10 @@ from hilb2 import (
     load_descriptor,
     parse_descriptor,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import inputs  # noqa: E402  (the benchmark's P^n and product generators)
 
 
 def parse(obj):
@@ -267,3 +273,66 @@ def test_export_orders_keys_canonically():
                          {"k": 1, "from": "c2", "to": ["c3", "c4"]}]
     assert obj["cup"] == [{"a": "c1", "b": "c1", "result": []},
                           {"a": "c1", "b": "c2", "result": ["c3", "c4"]}]
+
+
+def test_sq1_must_be_self_adjoint_on_a_compact_input():
+    # enriques_x with only Sq^1 x1 = s: rank Sq^1 is 0 on H^1 but 1 on H^2
+    obj = json.loads(catalog_text("enriques_x"))
+    obj["sq"] = [e for e in obj["sq"] if e["from"] != "t"]
+    with pytest.raises(InvalidDescriptor) as exc:
+        load_descriptor(json.dumps(obj))
+    assert [(e.check, e.details) for e in exc.value.report.failures] == [
+        ("sq1-self-adjoint", "rank Sq^1 on H^1 is 0 but on H^2 it is 1; on a "
+         "closed orientable manifold they agree")]
+    # the same Sq^1 on a noncompact input is not constrained
+    obj["compact"] = False
+    obj["classes"] = [c for c in obj["classes"] if c["name"] != "top"]
+    load_descriptor(json.dumps(obj))
+    # ranks 2 and 2, from sums of classes, pass
+    make_descriptor(n=2, degrees=[0, 1, 1, 2, 2, 2, 2, 3, 3, 4],
+                    sq=[{"k": 1, "from": "c1", "to": ["c3", "c4"]},
+                        {"k": 1, "from": "c2", "to": ["c4"]},
+                        {"k": 1, "from": "c5", "to": ["c7"]},
+                        {"k": 1, "from": "c6", "to": ["c7", "c8"]}])
+
+
+def test_cup_pairing_must_be_nondegenerate():
+    # p3 without h cup h2: H^2 x H^4 -> H^6 is zero
+    obj = json.loads(catalog_text("p3"))
+    obj["cup"] = [e for e in obj["cup"] if (e["a"], e["b"]) != ("h", "h2")]
+    with pytest.raises(InvalidDescriptor) as exc:
+        load_descriptor(json.dumps(obj))
+    assert [(e.check, e.details) for e in exc.value.report.failures] == [
+        ("cup-pairing", "the cup pairing H^2 x H^4 -> H^6 has rank 0, not "
+         "b_2 = 1; Poincare duality needs it nondegenerate")]
+    # a middle-degree pairing of rank 1 on two classes is degenerate too:
+    # a cup a = a cup b = b cup b = top, with Sq^2 a = Sq^2 b = top for the
+    # square rule
+    cup = [{"a": "c1", "b": "c1", "result": ["c3"]},
+           {"a": "c1", "b": "c2", "result": ["c3"]},
+           {"a": "c2", "b": "c2", "result": ["c3"]}]
+    sq = [{"k": 2, "from": "c1", "to": ["c3"]},
+          {"k": 2, "from": "c2", "to": ["c3"]}]
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_descriptor(n=2, degrees=[0, 2, 2, 4], cup=cup, sq=sq)
+    assert [e.check for e in exc.value.report.failures] == ["cup-pairing"]
+    # with b cup b = 0 the pairing is unimodular and the input loads, and
+    # without a cup table there is nothing to check
+    make_descriptor(n=2, degrees=[0, 2, 2, 4], cup=cup[:2], sq=sq[:1])
+    make_descriptor(n=2, degrees=[0, 2, 2, 4], sq=sq)
+
+
+def test_catalog_and_benchmark_inputs_still_load():
+    for name in catalog_names():
+        load_descriptor(catalog_text(name))
+    k3 = json.loads(catalog_text("k3"))
+    en = json.loads(catalog_text("enriques_x"))
+    p = [inputs.projective(n) for n in range(1, 7)]
+    generated = p + [inputs.one_class(n) for n in (1, 5, 40)] + [
+        inputs.product(p[0], p[0]), inputs.product(p[1], p[2]),
+        inputs.product(p[3], p[3]), inputs.product(k3, p[0]),
+        inputs.product(inputs.product(k3, p[0]), p[0]),
+        inputs.product(en, p[0]), inputs.product(en, p[1]),
+        inputs.product(en, en)]
+    for obj in generated:
+        load_descriptor(json.dumps(obj))
