@@ -66,18 +66,22 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
     """sum_{i=0}^{top_power} e^(top_power - i) Sq^(first_sq + 2i) u.
 
     The stored nonzero squares of u are read once, so the cost follows them
-    and not the length of the ladder.
+    and not the length of the ladder. For a single basis class they are its
+    stored row, read in place; only a sum of classes is added up.
     """
     m = d.module
     width = len(m.basis)
     if u.mask >> width:
         raise UnknownClass(f"bit {u.mask.bit_length() - 1} is not a basis class")
-    squares = steenrod._squares_of(m._squares, u.mask, u.degree)
-    squares[0] = u.mask
+    squares = m._squares.get(u.mask)  # with Sq^0 u = u
+    if squares is None:
+        squares = steenrod._squares_of(m._squares, u.mask, u.degree)
+        squares[0] = u.mask
     mask = 0
     for k, val in squares.items():
         i, odd = divmod(k - first_sq, 2)
-        if not val or odd or not 0 <= i <= top_power:
+        # Sq^k u = 0 for k > deg(u), even where the row of u stores it
+        if not val or odd or not 0 <= i <= top_power or k > max(u.degree, 0):
             continue
         power = top_power - i
         if power >= d.n:

@@ -11,7 +11,8 @@ forward to zero, and together they span the kernel (a = deg(u) // 2):
 Families 1 and 2 are the even-square ladders (boundary_with_b for even u,
 boundary_no_b for odd u); when Sq^1 = 0 they alone form a basis of the
 kernel, being triangular with distinct leading terms e^(j+a) u. Families 3
-and 4 are the odd-square ladders and vanish identically when Sq^1 = 0.
+and 4 are the odd-square ladders and vanish identically when Sq^1 = 0; they
+are computed only when the module stores some odd square.
 
 Each ladder is computed once, at j = 0, and its e^j shifts are the same bits
 moved up j blocks of N (see exdiv). A ladder that collapses to zero
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable
 
 from . import exdiv, gf2, steenrod
@@ -63,18 +64,25 @@ def kernel_generators(d: ManifoldDescriptor,
 
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
+    """Families 1-2 for every class; families 3-4 only when the module
+    stores an odd square, since their ladders read odd squares alone and
+    are zero (raising nothing) without one."""
     width = len(d.module.basis)
+    odd_squares = any(k % 2 for k in d.module.sq)
     out: list[KernelGenerator] = []
     for i, (name, deg) in enumerate(d.module.basis):
         u = F2Vector(deg, 1 << i)
         a = deg // 2
         if deg % 2 == 0:
-            ladders = [(1, exdiv.boundary_with_b(d, u), d.n - 1 - a),
-                       (3, exdiv.boundary_no_b(d, u), d.n - 1 - a)]
+            ladders = [(1, exdiv.boundary_with_b, d.n - 1 - a),
+                       (3, exdiv.boundary_no_b, d.n - 1 - a)]
         else:
-            ladders = [(2, exdiv.boundary_no_b(d, u), d.n - 1 - a),
-                       (4, exdiv.boundary_with_b(d, u), d.n - 2 - a)]
-        for family, base, j_max in ladders:
+            ladders = [(2, exdiv.boundary_no_b, d.n - 1 - a),
+                       (4, exdiv.boundary_with_b, d.n - 2 - a)]
+        for family, boundary, j_max in ladders:
+            if family > 2 and not odd_squares:
+                continue
+            base = boundary(d, u)
             if base.is_zero():
                 continue
             # e^j times the ladder; its top e-power stays below n, so no
@@ -118,9 +126,16 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     Only l = k - p, for p the leading e-power of w, can break this.
     Random F2-combinations of same-degree generators are tested; the report
     carries one summary entry, or one failure per counterexample found.
-    Where the generators of a degree have distinct leading bits, as families
-    1-2 do, the leading e-power of a combination is read off its top summand;
-    masks are summed only when leading bits collide or to report a failure.
+
+    A sample draws a degree, then one getrandbits(32 * L) for its pool of L
+    generators: generator i is picked when bit 32i + 31 is set, which is
+    the bit getrandbits(1) would return for word i, so the picks and the
+    state of the generator are those of L one-bit draws. Where the leading
+    bits of a degree are distinct, as in families 1-2, a combination leads
+    where its top summand does; if no leading e-power p there has
+    2(k - p) > k, no sample of that degree can fail and it is only counted.
+    Elsewhere the leading e-power of a sample is read off its top summand,
+    or off the XOR of its masks where leading bits collide.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -135,26 +150,34 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     if not by_degree:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
-    # where the leading bits of a degree are distinct, a sum leads where its
-    # top summand does
-    leads = {degree: [g.value.mask.bit_length() for g in pool]
-             for degree, pool in by_degree.items()}
-    distinct = {degree: len(set(bits)) == len(bits)
-                for degree, bits in leads.items()}
-    rng = random.Random(seed)
     width = len(d.module.basis)
+    # degree -> (pool, its leading bits, whether they are distinct,
+    #            mask of the pick bits, whether a sample there can fail)
+    plan = {}
+    for degree, pool in by_degree.items():
+        leads = [g.value.mask.bit_length() for g in pool]
+        distinct = len(set(leads)) == len(leads)
+        k = degree // 2
+        can_fail = not distinct or any(
+            2 * (k - (lead - 1) // width) > k for lead in leads)
+        plan[degree] = (pool, leads, distinct,
+                        sum(1 << 32 * i + 31 for i in range(len(pool))),
+                        can_fail)
+    rng = random.Random(seed)
     degrees = sorted(by_degree)
     tested = 0
     for _ in range(samples):
         degree = degrees[rng.randrange(len(degrees))]
-        pool = by_degree[degree]
-        # one random bit per generator, drawn in pool order
-        picks = list(map(rng.getrandbits, repeat(1, len(pool))))
-        if not any(picks):
+        pool, leads, distinct, tops, can_fail = plan[degree]
+        word = rng.getrandbits(32 * len(pool))
+        if not word & tops:
             continue
         tested += 1
-        if distinct[degree]:
-            lead = max(compress(leads[degree], picks))
+        if not can_fail:
+            continue
+        picks = [word >> 32 * i + 31 & 1 for i in range(len(pool))]
+        if distinct:
+            lead = max(compress(leads, picks))
         else:
             lead = _sum(compress(pool, picks)).bit_length()
             if not lead:

@@ -150,7 +150,9 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     except UnicodeDecodeError as exc:
         raise DescriptorError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past the interpreter's
+        # limit on digits converted from a string
         raise DescriptorError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DescriptorError("invalid JSON: nested too deeply") from None
@@ -404,10 +406,16 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
+def _degree_counts(d: ManifoldDescriptor) -> Counter:
+    """The Betti row of X as degree -> b_k, counted once per descriptor."""
+    return once(d, "degree_counts",
+                lambda: Counter(deg for _, deg in d.module.basis))
+
+
 def pair_counts(d: ManifoldDescriptor) -> Counter:
     """Unordered pairs of distinct basis classes of X by total degree: the
     coefficients of (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k."""
-    b = Counter(deg for _, deg in d.module.basis)
+    b = _degree_counts(d)
     twice = Counter()
     for x in b:
         for y in b:
@@ -421,7 +429,7 @@ def ladder_counts(d: ManifoldDescriptor,
     """b_v classes in every degree of ladder(v), summed over the degrees v
     of the basis of X."""
     out = Counter()
-    for v, b_v in Counter(deg for _, deg in d.module.basis).items():
+    for v, b_v in _degree_counts(d).items():
         for k in ladder(v):
             out[k] += b_v
     return out

@@ -230,6 +230,10 @@ MUTANTS = [
      lambda obj: _drop_sq(obj, 1, "x1")),
     ("elliptic adds Sq^1 t = y1", "elliptic_y", "rejected",
      lambda obj: _set_sq(obj, 1, "t", ["y1"])),
+    # a consistent descriptor under a wrong name: only the suite's
+    # known-answer check can catch it
+    ("p2 renamed to k3", "p2", "suite-failure",
+     lambda obj: obj.update(name="k3")),
 ]
 
 

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import descriptor_obj
 import hilb2
 from hilb2 import BettiTable, catalog_text
@@ -75,6 +77,24 @@ def test_hostile_files_exit_one_without_a_traceback(tmp_path, capsys):
     code, _, err = run(["validate", str(latin1)], capsys)
     assert code == 1
     assert err.startswith("error: ") and "is not UTF-8 text" in err
+
+
+def test_integer_literal_past_the_digit_limit_exits_one(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    huge = "9" * (limit + 1)
+    for text in (
+            '{"name": "x", "complex_dimension": %s, "compact": true, '
+            '"classes": []}' % huge,
+            '{"name": "x", "complex_dimension": 1, "compact": true, '
+            '"classes": [{"name": "1", "degree": %s}]}' % huge):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run(["validate", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON: Exceeds the limit")
+        assert "Traceback" not in err
 
 
 def test_directories_exit_one_without_a_traceback(tmp_path, capsys):

@@ -2,21 +2,25 @@
 
 The references do the plain thing at every step: elimination on the lowest
 set bit, one sq() call per ladder term, every e^j generator by repeated
-e_multiply (zero ladders listed too), and a corollary sample that sums the
-masks of every picked generator. The library reads the stored squares once,
-shifts each ladder's bits, pivots on leading bits and sums masks only where
-leading bits collide; on random Sq tables, Sq^1 != 0 included, and on
-planted generator pools, both must give the same answers.
+e_multiply (zero ladders listed too), and a corollary sample that draws one
+getrandbits(1) per generator and sums the masks of every picked one. The
+library reads the stored squares once, skips the odd-square ladders when no
+odd square is stored, shifts each ladder's bits, pivots on leading bits,
+draws a sample's picks in one call and sums masks only where leading bits
+collide; on random Sq tables, Sq^1 != 0 included, and on planted generator
+pools, both must give the same answers.
 """
 
 import json
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb2 import corollary_check, exdiv, kernel, kernel_dimensions, kernel_generators
+from hilb2 import (catalog_get, catalog_text, corollary_check, exdiv, kernel,
+                   kernel_dimensions, kernel_generators)
 from hilb2.exdiv import OutOfRange
 from hilb2.gf2 import F2Vector, _rank_of_rows, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
@@ -168,7 +172,7 @@ def test_generators_and_dimensions_match_the_references(rng):
 def test_ladder_matches_one_sq_call_per_term(rng):
     d = random_table(rng)
     m = d.module
-    degree = rng.randint(0, 2 * d.n + 1)
+    degree = rng.randint(-1, 2 * d.n + 1)
     u = F2Vector(degree, rng.getrandbits(len(m.basis)))
     top_power, first_sq = rng.randint(-1, d.n + 1), rng.randint(0, 1)
     out_degree = rng.choice([2 * degree - 1, 2 * degree, 4 * d.n - 2, 4 * d.n])
@@ -279,3 +283,86 @@ def test_planted_pools_do_collide_and_fail():
             mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
             failed += not corollary_check(d, samples=20, seed=seed).ok
     assert collided > 30 and failed > 30
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1 << 32), size=st.integers(1, 700),
+       warm=st.integers(0, 32 * 700))
+def test_one_wide_draw_equals_one_bit_draws(seed, size, warm):
+    # warm moves the draw across the generator's 624-word refills
+    wide, narrow = random.Random(seed), random.Random(seed)
+    wide.getrandbits(warm)
+    narrow.getrandbits(warm)
+    word = wide.getrandbits(32 * size)
+    assert [word >> 32 * i + 31 & 1 for i in range(size)] == [
+        narrow.getrandbits(1) for _ in range(size)]
+    assert wide.getstate() == narrow.getstate()
+
+
+def test_corollary_counts_without_summing_where_no_lead_can_fail():
+    # on p3 (N = 4, n = 3) a degree-2k sample fails iff it leads at an
+    # e-power p with 2(k - p) > k
+    d = catalog_get("p3")
+
+    def gen(degree, mask, j):
+        return KernelGenerator(1, "h", j, F2Vector(degree, mask))
+
+    # degree 4: leads e^2 and e*h (p = 2, 1), so no sample can fail;
+    # degree 8: leads e^2*h2 (p = 2, passes) and e*h3 (p = 1, fails)
+    safe = [gen(4, 1 << 8 | 1 << 2, 0), gen(4, 1 << 5, 1)]
+    mixed = [gen(8, 1 << 10, 0), gen(8, 1 << 7, 1)]
+    gens = safe + mixed
+    read = []
+
+    def compress_and_record(data, selectors):
+        read.append(list(data))
+        return compress(data, selectors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
+        mp.setattr(kernel, "compress", compress_and_record)
+        got = corollary_check(d, samples=200, seed=0)
+    assert got.entries == corollary_by_xor(d, gens, 200, 0).entries
+    assert got.failures and all(e.details["degree"] == 8 and e.details["l"] == 3
+                                and e.details["combination"] == [(1, "h", 1)]
+                                for e in got.failures)
+    # the mixed degree takes the leading-bit path, the safe one never does
+    assert [11, 8] in read
+    assert not any(data in ([9, 6], safe) for data in read)
+
+
+@pytest.mark.parametrize("name, per_class", [("k3", 1), ("enriques_x", 2)])
+def test_odd_square_ladders_only_where_an_odd_square_is_stored(name, per_class):
+    d = parse_descriptor(catalog_text(name))
+    calls, summed = [], []
+    ladder, squares_of = exdiv._ladder, exdiv.steenrod._squares_of
+
+    def ladder_and_count(*args):
+        calls.append(args[1])
+        return ladder(*args)
+
+    def squares_of_and_count(*args):
+        summed.append(args)
+        return squares_of(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exdiv, "_ladder", ladder_and_count)
+        mp.setattr(exdiv.steenrod, "_squares_of", squares_of_and_count)
+        kernel_generators(d)
+    assert len(calls) == per_class * len(d.module.basis)
+    # each ladder is of one basis class, whose stored row is read in place
+    assert summed == []
+
+
+def test_an_odd_square_above_sq1_still_builds_family_4():
+    # Sq^1 = 0, but Sq^3 u = v makes e^0 Sq^3 u a family 4 generator
+    d = parse_descriptor(json.dumps({
+        "name": "sq3", "complex_dimension": 3, "compact": False,
+        "classes": [{"name": "1", "degree": 0}, {"name": "u", "degree": 3},
+                    {"name": "v", "degree": 6}],
+        "sq": [{"k": 3, "from": "u", "to": ["v"]}]}))
+    gens = kernel_generators(d)
+    assert (4, "u", 0, 6, 0b100) in _listing(gens)
+    assert _listing(gens) == [(f, s, j, v.degree, v.mask)
+                              for f, s, j, v in generators_by_e_multiply(d)
+                              if not v.is_zero()]
