@@ -127,7 +127,7 @@ def betti_hilb2_exact(d: ManifoldDescriptor) -> BettiTable:
     sequence; works for any valid descriptor."""
     E = betti_exceptional(d)
     C = betti_config(d)
-    K = kernel.kernel_dimensions(d, "all")
+    K = kernel.kernel_dimensions(d)
     dims: dict[int, int] = {}
     for m in range(4 * d.n + 1):
         pushed = E.dim(m - 2) - K.get(m - 2, 0)

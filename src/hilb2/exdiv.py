@@ -9,17 +9,18 @@ coefficient c_j of sum_j e^j c_j, a class of degree m - 2j on X.
 
 The boundary of the punctured symmetric square of a tubular neighbourhood of
 a closed Z in X with mod-2 Thom class u of degree r, and of its double cover
-(b is the degree-1 class of the cover), restrict to E as the ladders
+(b is the degree-1 class of the cover), restrict to E as ladders of one
+shape. For a square parity s in {0, 1} and t = (r - s) // 2,
 
-  boundary_no_b(u),   r = 2a:    e^(a-1) Sq^1 u + e^(a-2) Sq^3 u + ... + Sq^(2a-1) u
-  boundary_no_b(u),   r = 2a+1:  e^a u + e^(a-1) Sq^2 u + ... + Sq^(2a) u
-  boundary_with_b(u), r = 2a:    e^a u + e^(a-1) Sq^2 u + ... + Sq^(2a) u
-  boundary_with_b(u), r = 2a+1:  e^a Sq^1 u + e^(a-1) Sq^3 u + ... + Sq^(2a+1) u
+  L_s(u) = e^t Sq^s u + e^(t-1) Sq^(s+2) u + ... + Sq^(s+2t) u
 
-in degrees 2r - 1 and 2r. For even r the with-b ladder is also the
-restriction to E of the fundamental class of the Hilbert square of Z inside
-that of X (hilb_restriction). Empty ladders (r = 0, or r = 2n where the
-ambient group vanishes) give the zero class.
+lies in degree r + s + 2t. boundary_with_b(u) is L_s(u) for s = r mod 2, in
+degree 2r; boundary_no_b(u) is L_s(u) for the other parity, in degree
+2r - 1. For even r the with-b ladder is also the restriction to E of the
+fundamental class of the Hilbert square of Z inside that of X
+(hilb_restriction). Empty ladders (r = 0 with s = 1, or r = 2n with s = 0,
+where the ambient group vanishes) give the zero class. The kernel module
+lists e^j L_s(u) for 0 <= j <= n - 1 - s - t as family 1 + (r mod 2) + 2s.
 """
 
 from __future__ import annotations
@@ -61,35 +62,35 @@ def e_multiply(d: ManifoldDescriptor, c: F2Vector) -> F2Vector:
     return F2Vector(c.degree + 2, c.mask << width)
 
 
-def _ladder(d: ManifoldDescriptor, u: F2Vector, top_power: int,
-            first_sq: int, degree: int) -> F2Vector:
-    """sum_{i=0}^{top_power} e^(top_power - i) Sq^(first_sq + 2i) u.
+def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
+    """L_s(u) = sum_{i=0}^{t} e^(t - i) Sq^(s + 2i) u, t = (deg(u) - s) // 2,
+    in degree deg(u) + s + 2t.
 
     The stored nonzero squares of u are read once, so the cost follows them
     and not the length of the ladder. For a single basis class they are its
-    stored row, read in place; only a sum of classes is added up.
+    stored row, read in place; only a sum of classes is added up. A term at
+    e-power n or above needs t >= n, so the degree is at least 4n, above the
+    top degree 4n - 2 of E, and the ladder is zero.
     """
     m = d.module
     width = len(m.basis)
     if u.mask >> width:
         raise UnknownClass(f"bit {u.mask.bit_length() - 1} is not a basis class")
+    t = (u.degree - s) // 2
+    degree = u.degree + s + 2 * t
     squares = m._squares.get(u.mask)  # with Sq^0 u = u
     if squares is None:
         squares = steenrod._squares_of(m._squares, u.mask, u.degree)
         squares[0] = u.mask
     mask = 0
     for k, val in squares.items():
-        i, odd = divmod(k - first_sq, 2)
+        i, odd = divmod(k - s, 2)
         # Sq^k u = 0 for k > deg(u), even where the row of u stores it
-        if not val or odd or not 0 <= i <= top_power or k > max(u.degree, 0):
+        if not val or odd or not 0 <= i <= t or k > max(u.degree, 0):
             continue
-        power = top_power - i
+        power = t - i
         if power >= d.n:
-            # only reachable for deg(u) = 2n, where the whole group
-            # H^(4n)(E) of a (4n-2)-manifold vanishes
-            if degree > 4 * d.n - 2:
-                return F2Vector(degree)
-            raise OutOfRange(f"ladder term e^{power} exceeds e^{d.n - 1}")
+            return F2Vector(degree)
         mask |= val << power * width
     return F2Vector(degree, mask)
 
@@ -105,11 +106,7 @@ def boundary_no_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
     >>> boundary_no_b(en, en.module.basis_vector("1")).is_zero()
     True
     """
-    r = u.degree
-    a = r // 2
-    if r % 2 == 0:
-        return _ladder(d, u, a - 1, 1, 2 * r - 1)
-    return _ladder(d, u, a, 0, 2 * r - 1)
+    return _ladder(d, u, 1 - u.degree % 2)
 
 
 def boundary_with_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
@@ -121,11 +118,7 @@ def boundary_with_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
     >>> boundary_with_b(en, en.module.basis_vector("t")) == from_base(en, t2)
     True
     """
-    r = u.degree
-    a = r // 2
-    if r % 2 == 0:
-        return _ladder(d, u, a, 0, 2 * r)
-    return _ladder(d, u, a, 1, 2 * r)
+    return _ladder(d, u, u.degree % 2)
 
 
 def hilb_restriction(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:

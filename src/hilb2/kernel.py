@@ -1,18 +1,19 @@
 """The kernel of the pushforward from E to the Hilbert square of X.
 
-For every basis class u of H*(X;F2) the following elements of H*(E;F2) push
-forward to zero, and together they span the kernel (a = deg(u) // 2):
+For every basis class u of H*(X;F2), r = deg(u), and every square parity
+s in {0, 1}, let t = (r - s) // 2 and let
 
-  family 1   deg(u) = 2a    e^j (e^a u + e^(a-1) Sq^2 u + ... + Sq^(2a) u)    0 <= j <= n-1-a
-  family 2   deg(u) = 2a+1  e^j (e^a u + e^(a-1) Sq^2 u + ... + Sq^(2a) u)    0 <= j <= n-1-a
-  family 3   deg(u) = 2a    e^j (e^(a-1) Sq^1 u + ... + Sq^(2a-1) u)          0 <= j <= n-1-a
-  family 4   deg(u) = 2a+1  e^j (e^a Sq^1 u + ... + Sq^(2a+1) u)              0 <= j <= n-2-a
+  L_s(u) = e^t Sq^s u + e^(t-1) Sq^(s+2) u + ... + Sq^(s+2t) u
 
-Families 1 and 2 are the even-square ladders (boundary_with_b for even u,
-boundary_no_b for odd u); when Sq^1 = 0 they alone form a basis of the
-kernel, being triangular with distinct leading terms e^(j+a) u. Families 3
-and 4 are the odd-square ladders and vanish identically when Sq^1 = 0; they
-are computed only when the module stores some odd square.
+in degree r + s + 2t (exdiv._ladder). The elements e^j L_s(u) for
+0 <= j <= n - 1 - s - t push forward to zero, and together they span the
+kernel; each is tagged family 1 + (r mod 2) + 2s.
+
+Families 1 and 2 are the even-square ladders (s = 0); when Sq^1 = 0 they
+alone form a basis of the kernel, being triangular with distinct leading
+terms e^(j+t) u. Families 3 and 4 are the odd-square ladders (s = 1) and
+vanish identically when Sq^1 = 0; they are computed only when the module
+stores some odd square.
 
 Each ladder is computed once, at j = 0, and its e^j shifts are the same bits
 moved up j blocks of N (see exdiv). A ladder that collapses to zero
@@ -33,9 +34,6 @@ from .report import FAIL, PASS, Report
 from .spaces import ManifoldDescriptor, once
 from .steenrod import Sq1NotZero
 
-MODES = ("all", "families12")
-
-
 @dataclass(frozen=True)
 class KernelGenerator:
     family: int  # 1..4
@@ -48,43 +46,28 @@ class KernelGenerator:
         return self.value.is_zero()
 
 
-def kernel_generators(d: ManifoldDescriptor,
-                      mode: str = "all") -> list[KernelGenerator]:
-    """The nonzero generators in declaration order of u, families inner, j
-    innermost; a zero ladder is not listed.
-
-    mode "families12" keeps only the even-square ladders (the basis in the
-    Sq^1 = 0 case); mode "all" emits all four families. The list is built
+def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
+    """The nonzero generators of all four families in declaration order of
+    u, s inner, j innermost; a zero ladder is not listed. The list is built
     once per descriptor; each call returns a fresh copy.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    gens = once(d, "kernel_generators", lambda: _build_generators(d))
-    return list(gens) if mode == "all" else [g for g in gens if g.family <= 2]
+    return list(once(d, "kernel_generators", lambda: _build_generators(d)))
 
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
-    """Families 1-2 for every class; families 3-4 only when the module
-    stores an odd square, since their ladders read odd squares alone and
-    are zero (raising nothing) without one."""
+    """s = 1 only when the module stores an odd square, since the odd-square
+    ladders read odd squares alone and are zero without one."""
     width = len(d.module.basis)
-    odd_squares = any(k % 2 for k in d.module.sq)
+    parities = (0, 1) if any(k % 2 for k in d.module.sq) else (0,)
     out: list[KernelGenerator] = []
     for i, (name, deg) in enumerate(d.module.basis):
         u = F2Vector(deg, 1 << i)
-        a = deg // 2
-        if deg % 2 == 0:
-            ladders = [(1, exdiv.boundary_with_b, d.n - 1 - a),
-                       (3, exdiv.boundary_no_b, d.n - 1 - a)]
-        else:
-            ladders = [(2, exdiv.boundary_no_b, d.n - 1 - a),
-                       (4, exdiv.boundary_with_b, d.n - 2 - a)]
-        for family, boundary, j_max in ladders:
-            if family > 2 and not odd_squares:
-                continue
-            base = boundary(d, u)
+        for s in parities:
+            base = exdiv._ladder(d, u, s)
             if base.is_zero():
                 continue
+            family = 1 + deg % 2 + 2 * s
+            j_max = d.n - 1 - s - (deg - s) // 2
             # e^j times the ladder; its top e-power stays below n, so no
             # e^n carry can occur (see exdiv.e_multiply)
             out.extend(KernelGenerator(family, name, j, F2Vector(
@@ -93,7 +76,7 @@ def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     return out
 
 
-def kernel_dimensions(d: ManifoldDescriptor, mode: str = "all") -> dict[int, int]:
+def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
     """Dimension of the kernel span per degree; zero degrees omitted.
 
     >>> from hilb2.catalog import catalog_get
@@ -102,16 +85,16 @@ def kernel_dimensions(d: ManifoldDescriptor, mode: str = "all") -> dict[int, int
     >>> kernel_dimensions(catalog_get("enriques_x"))
     {0: 1, 1: 1, 2: 2, 3: 2, 4: 12, 5: 1}
     """
-    gens = kernel_generators(d, mode)
-    dims = once(d, ("kernel_dimensions", mode), lambda: gf2.span_dims_by_degree(
+    gens = kernel_generators(d)
+    dims = once(d, "kernel_dimensions", lambda: gf2.span_dims_by_degree(
         (g.value.degree, g.value.mask) for g in gens))
     return dict(dims)
 
 
 def redundant_degrees(d: ManifoldDescriptor) -> dict[int, tuple[int, int]]:
     """Degrees where the four families overlap: degree -> (count, dimension)."""
-    counts = Counter(g.value.degree for g in kernel_generators(d, "all"))
-    dims = kernel_dimensions(d, "all")
+    counts = Counter(g.value.degree for g in kernel_generators(d))
+    dims = kernel_dimensions(d)
     return {deg: (counts[deg], dims[deg]) for deg in sorted(counts)
             if counts[deg] != dims[deg]}
 
@@ -143,7 +126,7 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         raise Sq1NotZero(
             f"{d.name}: the divisibility corollary assumes Sq^1 = 0")
     by_degree: dict[int, list[KernelGenerator]] = {}
-    for g in kernel_generators(d, "all"):
+    for g in kernel_generators(d):
         if g.value.degree % 2 == 0:
             by_degree.setdefault(g.value.degree, []).append(g)
     rep = Report()

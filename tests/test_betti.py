@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -113,7 +114,7 @@ def test_hilb2_closed_gate_is_sq1_not_the_torsion_flag():
 def test_projective_generator_gives_the_grassmannian_bundle_row():
     # Hilb^2(P^n) is a P^2-bundle over Gr(2, n+1), so its Poincare
     # polynomial is [n+1 choose 2]_(t^2) (1 + t^2 + t^4)
-    for n in range(1, 13):
+    for n in range(1, 31):
         d = load_descriptor(json.dumps(_projective(f"p{n}", n)))
         grassmannian = Counter(2 * (i + j - 1)
                                for i, j in combinations(range(n + 1), 2))
@@ -121,6 +122,28 @@ def test_projective_generator_gives_the_grassmannian_bundle_row():
                     for k in range(4 * n + 1))
         assert betti_hilb2_exact(d).as_row() == row, n
         assert betti_hilb2_closed(d).as_row() == row, n
+
+
+def curve(g):
+    """A closed curve of genus g: a_i cup b_i = [pt], every square zero."""
+    classes = ([{"name": "1", "degree": 0}]
+               + [{"name": f"{c}{i}", "degree": 1}
+                  for i in range(g) for c in "ab"]
+               + [{"name": "pt", "degree": 2}])
+    cup = [{"a": f"a{i}", "b": f"b{i}", "result": ["pt"]} for i in range(g)]
+    return make_descriptor(n=1, classes=classes, cup=cup, name=f"curve{g}")
+
+
+def test_curve_hilbert_square_is_the_symmetric_square():
+    # for a curve X^[2] = S^2 X, with Betti numbers (Macdonald, Topology 1,
+    # 1962) 1, 2g, C(2g, 2) + 1, 2g, 1 and no torsion; the exact route runs
+    # the family 2 ladders of the odd classes
+    for g in range(8):
+        d = curve(g)
+        row = (1, 2 * g, comb(2 * g, 2) + 1, 2 * g, 1)
+        assert betti_hilb2_exact(d).as_row() == row, g
+        assert betti_hilb2_closed(d).as_row() == row, g
+        assert betti_sym2_f2(d).as_row() == row, g
 
 
 def test_methods_agree_on_random_square_free_fixtures():

@@ -20,6 +20,7 @@ from hilb2 import (
     load_descriptor,
     redundant_degrees,
 )
+from hilb2.gf2 import span_dims_by_degree
 from hilb2.steenrod import Sq1NotZero
 
 FROZEN_DIMS = {
@@ -37,28 +38,31 @@ def test_kernel_dimensions_frozen_values():
         assert kernel_dimensions(catalog_get(name)) == want, name
 
 
-def test_mode_must_be_known():
-    with pytest.raises(ValueError):
-        kernel_generators(catalog_get("p2"), "bogus")
+def families12(d):
+    """The even-square generators, the basis in the Sq^1 = 0 case."""
+    return [g for g in kernel_generators(d) if g.family <= 2]
+
+
+def rank_by_degree(gens):
+    return span_dims_by_degree((g.value.degree, g.value.mask) for g in gens)
 
 
 def test_generator_listing_p2():
-    gens = [(g.family, g.source, g.j) for g in
-            kernel_generators(catalog_get("p2"), "families12")
-            if not g.is_zero]
+    gens = [(g.family, g.source, g.j)
+            for g in families12(catalog_get("p2")) if not g.is_zero]
     assert gens == [(1, "1", 0), (1, "1", 1), (1, "h", 0)]
 
 
 def test_even_square_families_span_matches_count():
-    # the even-square ladders are triangular in the leading e-power, so in
-    # families12 mode the generator count per degree equals the span dimension
+    # the even-square ladders are triangular in the leading e-power, so for
+    # families 1-2 the generator count per degree equals the span dimension
     for name in catalog_names():
         d = catalog_get(name)
-        gens = [g for g in kernel_generators(d, "families12") if not g.is_zero]
+        gens = [g for g in families12(d) if not g.is_zero]
         counts = {}
         for g in gens:
             counts[g.value.degree] = counts.get(g.value.degree, 0) + 1
-        assert counts == kernel_dimensions(d, "families12"), name
+        assert counts == rank_by_degree(gens), name
 
 
 def test_families12_give_everything_when_sq1_is_zero():
@@ -66,9 +70,9 @@ def test_families12_give_everything_when_sq1_is_zero():
     # listed, so only families 1-2 appear
     for name in ("p1", "p2", "p3", "k3", "elliptic_y"):
         d = catalog_get(name)
-        assert kernel_dimensions(d, "families12") == kernel_dimensions(d)
-        gens = kernel_generators(d, "all")
-        assert gens == kernel_generators(d, "families12")
+        assert rank_by_degree(families12(d)) == kernel_dimensions(d)
+        gens = kernel_generators(d)
+        assert gens == families12(d)
         assert {g.family for g in gens} <= {1, 2}, name
     families = {g.family for g in kernel_generators(catalog_get("enriques_x"))}
     assert families == {1, 2, 3, 4}
@@ -76,7 +80,7 @@ def test_families12_give_everything_when_sq1_is_zero():
 
 def test_family_parities():
     for name in catalog_names():
-        for g in kernel_generators(catalog_get(name), "all"):
+        for g in kernel_generators(catalog_get(name)):
             if g.is_zero:
                 continue
             want_even = g.family in (1, 4)
@@ -89,7 +93,7 @@ def test_generators_stable_under_e_multiplication():
     for name in ("p3", "enriques_x"):
         d = catalog_get(name)
         gens = {}
-        for g in kernel_generators(d, "all"):
+        for g in kernel_generators(d):
             gens[(g.family, g.source, g.j)] = g.value
         for (family, source, j), value in gens.items():
             nxt = gens.get((family, source, j + 1))
@@ -161,7 +165,7 @@ def test_corollary_check_fails_on_a_planted_counterexample(monkeypatch):
     d = catalog_get("p2")
     h2 = from_base(d, d.module.basis_vector("h2"))
     planted = [KernelGenerator(1, "h2", 0, h2)]
-    monkeypatch.setattr(kernel, "kernel_generators", lambda d, mode: planted)
+    monkeypatch.setattr(kernel, "kernel_generators", lambda d: planted)
     rep = corollary_check(d, samples=1, seed=0)
     assert [(e.check, e.status, e.details) for e in rep.entries] == [
         ("corollary", "fail", {"degree": 4, "l": 2, "e_power": 0,

@@ -174,37 +174,31 @@ def test_ladder_matches_one_sq_call_per_term(rng):
     m = d.module
     degree = rng.randint(-1, 2 * d.n + 1)
     u = F2Vector(degree, rng.getrandbits(len(m.basis)))
-    top_power, first_sq = rng.randint(-1, d.n + 1), rng.randint(0, 1)
-    out_degree = rng.choice([2 * degree - 1, 2 * degree, 4 * d.n - 2, 4 * d.n])
-    try:
-        want = ladder_by_sq(d, u, top_power, first_sq, out_degree)
-    except OutOfRange:
-        with pytest.raises(OutOfRange):
-            exdiv._ladder(d, u, top_power, first_sq, out_degree)
-    else:
-        got = exdiv._ladder(d, u, top_power, first_sq, out_degree)
-        assert (got.degree, got.mask) == (want.degree, want.mask)
+    s = rng.randint(0, 1)
+    t = (degree - s) // 2
+    want = ladder_by_sq(d, u, t, s, degree + s + 2 * t)
+    got = exdiv._ladder(d, u, s)
+    assert (got.degree, got.mask) == (want.degree, want.mask)
 
 
 def test_ladder_carry_rule_on_explicit_cases():
-    # one class u of degree 2 with Sq^2 u = v on a surface: the ladder
-    # e^2 u + e Sq^2 u + ... reaches e^2 = e^n
+    # on a surface (n = 2) with one class u of degree 2, Sq^2 u = v
     d = parse_descriptor(json.dumps({
         "name": "carry", "complex_dimension": 2, "compact": True,
         "classes": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2},
                     {"name": "v", "degree": 4}],
         "sq": [{"k": 2, "from": "u", "to": ["v"]}]}))
-    u = d.module.basis_vector("u")
-    for top_power, degree in ((2, 6), (2, 4), (3, 6)):
-        with pytest.raises(OutOfRange):
-            ladder_by_sq(d, u, top_power, 0, degree)
-        with pytest.raises(OutOfRange):
-            exdiv._ladder(d, u, top_power, 0, degree)
-    # a degree above 4n - 2 lies in the zero group, whatever the carry
-    assert exdiv._ladder(d, u, 2, 0, 7).is_zero()
+    u, v = d.module.basis_vector("u"), d.module.basis_vector("v")
+    # L_0(v) = e^2 v reaches e^2 = e^n, in degree 8 > 4n - 2: the group is
+    # zero, whatever the carry
+    top = exdiv._ladder(d, v, 0)
+    assert (top.degree, top.mask) == (8, 0)
+    assert ladder_by_sq(d, v, 2, 0, 8).is_zero()
     # only the odd squares of u are read, and it has none
-    assert exdiv._ladder(d, u, 5, 1, 5).is_zero()
-    assert exdiv._ladder(d, u, 1, 0, 4).mask == ladder_by_sq(d, u, 1, 0, 4).mask
+    assert exdiv._ladder(d, u, 1).is_zero()
+    got = exdiv._ladder(d, u, 0)
+    want = ladder_by_sq(d, u, 1, 0, 4)
+    assert (got.degree, got.mask) == (want.degree, want.mask) and want.mask
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,7 +257,7 @@ def test_corollary_matches_the_reference_on_colliding_pools(rng):
     gens = planted_pool(rng, d)
     samples, seed = rng.randint(1, 40), rng.randrange(1 << 16)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
+        mp.setattr(kernel, "kernel_generators", lambda d: gens)
         got = corollary_check(d, samples=samples, seed=seed)
     assert got.entries == corollary_by_xor(d, gens, samples, seed).entries
 
@@ -280,7 +274,7 @@ def test_planted_pools_do_collide_and_fail():
             leads[key] = leads.get(key, 0) + 1
         collided += any(count > 1 for count in leads.values())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
+            mp.setattr(kernel, "kernel_generators", lambda d: gens)
             failed += not corollary_check(d, samples=20, seed=seed).ok
     assert collided > 30 and failed > 30
 
@@ -319,7 +313,7 @@ def test_corollary_counts_without_summing_where_no_lead_can_fail():
         return compress(data, selectors)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "kernel_generators", lambda d, mode="all": gens)
+        mp.setattr(kernel, "kernel_generators", lambda d: gens)
         mp.setattr(kernel, "compress", compress_and_record)
         got = corollary_check(d, samples=200, seed=0)
     assert got.entries == corollary_by_xor(d, gens, 200, 0).entries
