@@ -15,8 +15,9 @@ test suite pins that invariance down. elliptic_y has the same mod-2 Betti
 numbers with every square zero; its integral torsion is Z/4 rather than Z/2,
 so it is not two-torsion-free.
 
-Descriptors are stored as canonical JSON objects; catalog_get parses them
-through the ordinary loader, and exports reproduce these bytes exactly.
+Each descriptor is built as a JSON object and stored as its canonical text,
+encoded once at import; catalog_get parses that text through the ordinary
+loader, and exports reproduce these bytes exactly.
 """
 
 from __future__ import annotations
@@ -87,19 +88,21 @@ def _surface_with_torsion(name: str, names2: list[str],
     return entry
 
 
-_CATALOG: dict[str, dict] = {
-    "p1": _projective("p1", 1),
-    "p2": _projective("p2", 2),
-    "p3": _projective("p3", 3),
-    "k3": _k3(),
-    "enriques_x": _surface_with_torsion(
-        "enriques_x",
-        ["t2"] + [f"x{i}" for i in range(1, 12)],
-        [{"k": 1, "from": "t", "to": ["t2"]},
-         {"k": 1, "from": "x1", "to": ["s"]}]),
-    "elliptic_y": _surface_with_torsion(
-        "elliptic_y", [f"y{i}" for i in range(1, 13)], None),
-}
+# name -> canonical JSON text, encoded once at import
+_CATALOG: dict[str, str] = {
+    entry["name"]: json.dumps(entry, indent=2) + "\n" for entry in (
+        _projective("p1", 1),
+        _projective("p2", 2),
+        _projective("p3", 3),
+        _k3(),
+        _surface_with_torsion(
+            "enriques_x",
+            ["t2"] + [f"x{i}" for i in range(1, 12)],
+            [{"k": 1, "from": "t", "to": ["t2"]},
+             {"k": 1, "from": "x1", "to": ["s"]}]),
+        _surface_with_torsion(
+            "elliptic_y", [f"y{i}" for i in range(1, 13)], None),
+    )}
 
 
 def catalog_names() -> tuple:
@@ -116,7 +119,7 @@ def catalog_text(name: str) -> str:
                 return fh.read()
     if name not in _CATALOG:
         raise UnknownCatalogName(name)
-    return json.dumps(_CATALOG[name], indent=2) + "\n"
+    return _CATALOG[name]
 
 
 def catalog_get(name: str) -> ManifoldDescriptor:

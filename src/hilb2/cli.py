@@ -17,7 +17,6 @@ from . import betti as betti_mod
 from . import exdiv, kernel, spaces, verify
 from .betti import NegativeRank, TorsionFlagRequired
 from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
-from .exdiv import OutOfRange
 from .report import Report
 from .spaces import DescriptorError, ManifoldDescriptor
 from .steenrod import Sq1NotZero, is_sq1_zero
@@ -274,19 +273,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an input that cannot be read, an -o that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DescriptorError as exc:
+    except (_InputError, OSError, DescriptorError) as exc:
+        # OSError: an input that cannot be read, an -o that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except spaces.InvalidDescriptor as exc:
         _print_report(exc.report, False)
         return 2
-    except (Sq1NotZero, TorsionFlagRequired, NegativeRank, OutOfRange) as exc:
+    except (Sq1NotZero, TorsionFlagRequired, NegativeRank) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,11 @@ A vector is a degree and an int mask, addition is XOR, and class names
 appear only where descriptors are parsed and results printed. One F2Vector
 type serves H*(X; F_2) and H*(E_X; F_2): on X bit i stands for basis class i
 in declaration order; on E_X bit j*N + i stands for e^j x_i, N the basis
-size (see exdiv). Rank is computed by elimination on the leading set bit,
-so rows that already have distinct leading bits, such as the triangular
-kernel ladders, become pivots without a single XOR.
+size (see exdiv). The one elimination routine, pivots, brings rows to
+echelon form on the leading set bit: rows that already have distinct
+leading bits, such as the triangular kernel ladders, become pivots without
+a single XOR. Its pivots count the rank, and their leading bits are exactly
+the leading bits of the nonzero elements of the span.
 """
 
 from __future__ import annotations
@@ -53,24 +55,28 @@ class F2Vector:
         return hash(self.mask)
 
 
-def _rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank of int rows; one stored pivot row per leading bit.
+def pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Echelon form of int rows: leading bit (bit_length) -> pivot row.
 
-    >>> _rank_of_rows([0b011, 0b110, 0b101])
-    2
-    >>> _rank_of_rows([0b01, 0b10, 0b11])
+    The keys are exactly the leading bits of the nonzero elements of the
+    span, since a sum of pivots leads where its top pivot does, and their
+    number is the rank.
+
+    >>> sorted(pivots([0b011, 0b110, 0b101]))
+    [2, 3]
+    >>> len(pivots([0b01, 0b10, 0b11]))
     2
     """
-    pivots: dict[int, int] = {}  # bit_length -> the pivot row leading there
+    out: dict[int, int] = {}
     for row in rows:
         while row:
             lead = row.bit_length()
-            pivot = pivots.get(lead)
+            pivot = out.get(lead)
             if pivot is None:
-                pivots[lead] = row
+                out[lead] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return out
 
 
 def span_dims_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -85,4 +91,4 @@ def span_dims_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
     for degree, mask in rows:
         if mask:
             by_degree.setdefault(degree, []).append(mask)
-    return {d: _rank_of_rows(masks) for d, masks in sorted(by_degree.items())}
+    return {d: len(pivots(masks)) for d, masks in sorted(by_degree.items())}

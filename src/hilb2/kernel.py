@@ -25,8 +25,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable
 
 from . import exdiv, gf2, steenrod
 from .gf2 import F2Vector
@@ -113,12 +111,11 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     A sample draws a degree, then one getrandbits(32 * L) for its pool of L
     generators: generator i is picked when bit 32i + 31 is set, which is
     the bit getrandbits(1) would return for word i, so the picks and the
-    state of the generator are those of L one-bit draws. Where the leading
-    bits of a degree are distinct, as in families 1-2, a combination leads
-    where its top summand does; if no leading e-power p there has
-    2(k - p) > k, no sample of that degree can fail and it is only counted.
-    Elsewhere the leading e-power of a sample is read off its top summand,
-    or off the XOR of its masks where leading bits collide.
+    state of the generator are those of L one-bit draws. The leading bits
+    of the nonzero elements of a pool's span are those of its echelon form
+    (gf2.pivots), so a degree can fail exactly when some pivot leads at an
+    e-power p with 2(k - p) > k. Samples of the other degrees are only
+    counted; in a degree that can fail, each sample XORs its picks.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -134,42 +131,35 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
     width = len(d.module.basis)
-    # degree -> (pool, its leading bits, whether they are distinct,
-    #            mask of the pick bits, whether a sample there can fail)
+    # degree -> (pool, mask of its pick bits, whether a sample there can fail)
     plan = {}
     for degree, pool in by_degree.items():
-        leads = [g.value.mask.bit_length() for g in pool]
-        distinct = len(set(leads)) == len(leads)
         k = degree // 2
-        can_fail = not distinct or any(
-            2 * (k - (lead - 1) // width) > k for lead in leads)
-        plan[degree] = (pool, leads, distinct,
-                        sum(1 << 32 * i + 31 for i in range(len(pool))),
-                        can_fail)
+        leads = gf2.pivots(g.value.mask for g in pool)
+        plan[degree] = (pool, sum(1 << 32 * i + 31 for i in range(len(pool))),
+                        any(2 * (k - (lead - 1) // width) > k for lead in leads))
     rng = random.Random(seed)
     degrees = sorted(by_degree)
     tested = 0
     for _ in range(samples):
         degree = degrees[rng.randrange(len(degrees))]
-        pool, leads, distinct, tops, can_fail = plan[degree]
+        pool, tops, can_fail = plan[degree]
         word = rng.getrandbits(32 * len(pool))
         if not word & tops:
             continue
         tested += 1
         if not can_fail:
             continue
-        picks = [word >> 32 * i + 31 & 1 for i in range(len(pool))]
-        if distinct:
-            lead = max(compress(leads, picks))
-        else:
-            lead = _sum(compress(pool, picks)).bit_length()
-            if not lead:
-                continue
+        picked = [g for i, g in enumerate(pool) if word >> 32 * i + 31 & 1]
+        w = 0
+        for g in picked:
+            w ^= g.value.mask
+        if not w:
+            continue
         k = degree // 2
-        p = (lead - 1) // width
+        p = (w.bit_length() - 1) // width
         if 2 * (k - p) > k:
-            picked = list(compress(pool, picks))
-            coeff = exdiv.coefficient(d, F2Vector(degree, _sum(picked)), p)
+            coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
             rep.add("corollary", FAIL, {
                 "degree": degree,
                 "l": k - p,
@@ -181,10 +171,3 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         rep.add("corollary", PASS,
                 f"{tested} sampled combinations satisfied the constraint")
     return rep
-
-
-def _sum(gens: Iterable[KernelGenerator]) -> int:
-    w = 0
-    for g in gens:
-        w ^= g.value.mask
-    return w

@@ -331,8 +331,8 @@ def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
     m, top = d.module, 2 * d.n
     rows = _rows_by_degree(m, m.sq.get(1, {}))
     for k in range(1, d.n):
-        low = gf2._rank_of_rows(rows.get(k, ()))
-        high = gf2._rank_of_rows(rows.get(top - 1 - k, ()))
+        low = len(gf2.pivots(rows.get(k, ())))
+        high = len(gf2.pivots(rows.get(top - 1 - k, ())))
         if low != high:
             rep.add("sq1-self-adjoint", FAIL,
                     f"rank Sq^1 on H^{k} is {low} but on H^{top - 1 - k} it "
@@ -356,7 +356,7 @@ def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable,
     rows = _rows_by_degree(m, pairs)
     # the pairing is symmetric, so degree 2n - k repeats the rank of degree k
     for k in range(d.n + 1):
-        rank = gf2._rank_of_rows(rows.get(k, ()))
+        rank = len(gf2.pivots(rows.get(k, ())))
         if rank != table.dim(k):
             rep.add("cup-pairing", FAIL,
                     f"the cup pairing H^{k} x H^{top - k} -> H^{top} has rank "

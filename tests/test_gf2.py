@@ -1,19 +1,19 @@
-"""GF(2) linear algebra: ranks, spans, and the vector type."""
+"""GF(2) linear algebra: echelon form, ranks, spans, and the vector type."""
 
 import itertools
 import random
 
 import pytest
 
-from hilb2.gf2 import F2Vector, _rank_of_rows, span_dims_by_degree
+from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 
 
 def vec(degree, *bits):
     return F2Vector(degree, sum(1 << b for b in bits))
 
 
-def brute_span_size(rows):
-    """Number of distinct vectors in the span, by full enumeration."""
+def brute_span(rows):
+    """Every vector in the span, by full enumeration."""
     seen = set()
     for r in range(len(rows) + 1):
         for combo in itertools.combinations(rows, r):
@@ -21,7 +21,7 @@ def brute_span_size(rows):
             for row in combo:
                 acc ^= row
             seen.add(acc)
-    return len(seen)
+    return seen
 
 
 def test_vector_addition_cancels():
@@ -51,7 +51,7 @@ def test_mixed_nonzero_degrees_rejected():
 
 
 def test_rank_of_explicit_rows():
-    assert _rank_of_rows((0b011, 0b110, 0b101)) == 2
+    assert len(pivots((0b011, 0b110, 0b101))) == 2
     assert span_dims_by_degree([(1, 0b011), (1, 0b110), (1, 0b101)]) == {1: 2}
 
 
@@ -60,7 +60,19 @@ def test_rank_matches_enumerated_span_size():
     for _ in range(30):
         ncols = rng.randrange(1, 9)
         rows = tuple(rng.randrange(1 << ncols) for _ in range(rng.randrange(7)))
-        assert (1 << _rank_of_rows(rows)) == brute_span_size(rows)
+        assert (1 << len(pivots(rows))) == len(brute_span(rows))
+
+
+def test_pivot_keys_are_the_leading_bits_of_the_span():
+    rng = random.Random(11)
+    for _ in range(200):
+        ncols = rng.randrange(1, 8)
+        rows = [rng.randrange(1 << ncols) for _ in range(rng.randrange(7))]
+        echelon, span = pivots(rows), brute_span(rows)
+        assert set(echelon) == {w.bit_length() for w in span if w}
+        # each pivot lies in the span and leads at its key
+        assert all(row in span and row.bit_length() == lead
+                   for lead, row in echelon.items())
 
 
 def test_span_dims_by_degree_skips_zero_and_dedups():

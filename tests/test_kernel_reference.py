@@ -6,14 +6,13 @@ e_multiply (zero ladders listed too), and a corollary sample that draws one
 getrandbits(1) per generator and sums the masks of every picked one. The
 library reads the stored squares once, skips the odd-square ladders when no
 odd square is stored, shifts each ladder's bits, pivots on leading bits,
-draws a sample's picks in one call and sums masks only where leading bits
-collide; on random Sq tables, Sq^1 != 0 included, and on planted generator
-pools, both must give the same answers.
+draws a sample's picks in one call and sums masks only in degrees whose
+echelon form has a pivot that can fail; on random Sq tables, Sq^1 != 0
+included, and on planted generator pools, both must give the same answers.
 """
 
 import json
 import random
-from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 from hilb2 import (catalog_get, catalog_text, corollary_check, exdiv, kernel,
                    kernel_dimensions, kernel_generators)
 from hilb2.exdiv import OutOfRange
-from hilb2.gf2 import F2Vector, _rank_of_rows, span_dims_by_degree
+from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
 from hilb2.report import FAIL, PASS, Report
 from hilb2.spaces import parse_descriptor
@@ -205,14 +204,14 @@ def test_ladder_carry_rule_on_explicit_cases():
 @given(rows=st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1),
                      max_size=12))
 def test_leading_bit_rank_matches_the_lowest_bit_rank(rows):
-    assert _rank_of_rows(rows) == rank_by_lowest_bit(rows)
-    assert _rank_of_rows(rows[::-1]) == rank_by_lowest_bit(rows)
+    assert len(pivots(rows)) == rank_by_lowest_bit(rows)
+    assert len(pivots(rows[::-1])) == rank_by_lowest_bit(rows)
 
 
 def test_leading_bit_rank_eliminates_shared_leading_bits():
     # all three rows lead at bit 3; only two are independent
-    assert _rank_of_rows([0b1001, 0b1010, 0b0011]) == 2
-    assert _rank_of_rows([0b1001, 0b1010, 0b1100, 0b0110]) == 3
+    assert len(pivots([0b1001, 0b1010, 0b0011])) == 2
+    assert len(pivots([0b1001, 0b1010, 0b1100, 0b0110])) == 3
     assert span_dims_by_degree([(4, 0b1000), (4, 0b1000), (4, 0)]) == {4: 1}
 
 
@@ -306,23 +305,30 @@ def test_corollary_counts_without_summing_where_no_lead_can_fail():
     safe = [gen(4, 1 << 8 | 1 << 2, 0), gen(4, 1 << 5, 1)]
     mixed = [gen(8, 1 << 10, 0), gen(8, 1 << 7, 1)]
     gens = safe + mixed
-    read = []
-
-    def compress_and_record(data, selectors):
-        read.append(list(data))
-        return compress(data, selectors)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
-        mp.setattr(kernel, "compress", compress_and_record)
         got = corollary_check(d, samples=200, seed=0)
     assert got.entries == corollary_by_xor(d, gens, 200, 0).entries
     assert got.failures and all(e.details["degree"] == 8 and e.details["l"] == 3
                                 and e.details["combination"] == [(1, "h", 1)]
                                 for e in got.failures)
-    # the mixed degree takes the leading-bit path, the safe one never does
-    assert [11, 8] in read
-    assert not any(data in ([9, 6], safe) for data in read)
+
+
+def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
+    # on p3 both degree-8 generators lead at e^2*h2 (p = 2, passes), but
+    # their sum e*h3 leads at p = 1 with 2(4 - 1) > 4: only the echelon
+    # form of the pool, not the generators' own leading bits, shows it
+    d = catalog_get("p3")
+    gens = [KernelGenerator(1, "h", j, F2Vector(8, mask))
+            for j, mask in enumerate((1 << 10 | 1 << 7, 1 << 10))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "kernel_generators", lambda d: gens)
+        got = corollary_check(d, samples=200, seed=0)
+    assert got.entries == corollary_by_xor(d, gens, 200, 0).entries
+    assert got.failures and all(
+        e.details["e_power"] == 1 and e.details["coefficient"] == ["h3"]
+        and e.details["combination"] == [(1, "h", 0), (1, "h", 1)]
+        for e in got.failures)
 
 
 @pytest.mark.parametrize("name, per_class", [("k3", 1), ("enriques_x", 2)])
