@@ -11,7 +11,6 @@ homology of the symmetric square.
 
 from .betti import (
     GroupProfile,
-    Hilb2TorsionFlags,
     NegativeRank,
     TorsionFlagRequired,
     betti_config,
@@ -19,7 +18,6 @@ from .betti import (
     betti_hilb2_exact,
     betti_sym2_f2,
     integral_sym2,
-    torsion_flags_hilb2,
 )
 from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
 from .exdiv import (
@@ -65,7 +63,6 @@ __all__ = [
     "DescriptorError",
     "F2Vector",
     "GroupProfile",
-    "Hilb2TorsionFlags",
     "IntegralFlags",
     "InvalidDescriptor",
     "KernelGenerator",
@@ -111,7 +108,6 @@ __all__ = [
     "run_suite",
     "span_dims_by_degree",
     "sq",
-    "torsion_flags_hilb2",
     "validate_module",
     "__version__",
 ]

@@ -69,13 +69,6 @@ class GroupProfile:
         return out
 
 
-@dataclass(frozen=True)
-class Hilb2TorsionFlags:
-    no_2_torsion: bool
-    no_torsion: bool
-    torsion_free_even: bool
-
-
 def _even_diagonal(v: int) -> tuple:
     """The diagonal pair (i, i) of a class of degree v, kept for even v."""
     return () if v % 2 else (2 * v,)
@@ -154,15 +147,3 @@ def betti_hilb2_closed(d: ManifoldDescriptor) -> BettiTable:
             + ladder_counts(d, lambda v: range(v + 2, v + 2 * d.n, 2)))
     return BettiTable("hilb2", 4 * d.n, dims, noncompact=not d.compact)
 
-
-def torsion_flags_hilb2(d: ManifoldDescriptor) -> Hilb2TorsionFlags:
-    """Propagate integral statements from X to its Hilbert square:
-    no 2-torsion and no torsion pass through; torsion-free with an
-    even-degree basis on a compact X gives a torsion-free even Hilbert
-    square."""
-    even = all(deg % 2 == 0 for _, deg in d.module.basis)
-    return Hilb2TorsionFlags(
-        no_2_torsion=d.integral.two_torsion_free,
-        no_torsion=d.integral.torsion_free,
-        torsion_free_even=d.integral.torsion_free and even and d.compact,
-    )

@@ -78,11 +78,13 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
         raise UnknownClass(f"bit {u.mask.bit_length() - 1} is not a basis class")
     t = (u.degree - s) // 2
     degree = u.degree + s + 2 * t
-    squares = m._squares.get(u.mask)  # with Sq^0 u = u
-    if squares is None:
+    if u.mask & (u.mask - 1):
         squares = steenrod._squares_of(m._squares, u.mask, u.degree)
-        squares[0] = u.mask
-    mask = 0
+    else:
+        squares = m._squares.get(u.mask.bit_length() - 1, {})
+    mask = u.mask << t * width if not s and t >= 0 else 0  # Sq^0 u = u
+    if mask and t >= d.n:
+        return F2Vector(degree)
     for k, val in squares.items():
         i, odd = divmod(k - s, 2)
         # Sq^k u = 0 for k > deg(u), even where the row of u stores it

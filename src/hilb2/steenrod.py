@@ -9,20 +9,24 @@ optionally a cup product table. The axioms checked by validate():
   Cartan         Sq^i(x y) = sum_j Sq^j(x) Sq^(i-j)(y)   (needs the cup table)
   Adem           Sq^a Sq^b for a < 2b expands as the usual sum
 
-The tables are bit rows. Class i of the basis is bit i of an int mask, a
-vector is the mask of its classes, and each stored row is the mask of Sq^k
-of a basis class or of the product of two basis classes.
+Class i of the basis is bit i of an int mask, and a vector is the mask of
+its classes. The square and cup tables are keyed by class index, and each
+stored row is the mask of Sq^k of a basis class or of the product of two
+basis classes. Sq^0 and products with the unit are implicit, so a class
+with no stored square or product has no row.
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
 symmetric multiplication table: pairs that are not stored multiply to zero
 (every product landing above the top degree vanishes regardless).
 
-Validation cost follows the stored squares and cup entries, not (2n)^3. The
-Cartan check of a cup entry x cup y forms products only for pairs of nonzero
-squares of x and y, and compares the two sides only in the degrees where a
-stored square makes one of them nonzero. The Adem check on a class u tries
-only the relations Sq^a Sq^b u in which some nonzero Sq^x Sq^y u appears.
+Validation cost follows the stored squares and cup entries, not (2n)^3 or
+the basis size. The square rule and Adem checks visit only the classes with
+a stored row. The Cartan check of a cup entry x cup y forms products only
+for pairs of nonzero squares of x and y, and compares the two sides only in
+the degrees where a stored square makes one of them nonzero. The Adem check
+on a class u tries only the relations Sq^a Sq^b u in which some nonzero
+Sq^x Sq^y u appears.
 """
 
 from __future__ import annotations
@@ -66,29 +70,31 @@ class UnstableModule:
 
     @cached_property
     def _squares(self) -> dict[int, dict[int, int]]:
-        """bit of a basis class -> its nonzero stored squares {k: mask},
-        with Sq^0 the class itself. A row with k above the degree of its
-        class is kept: Sq^k of a vector of degree >= k reads it."""
-        squares = {1 << i: {0: 1 << i} for i in range(len(self.basis))}
+        """class index -> its nonzero stored squares {k: mask}, for classes
+        with a stored square only; Sq^0 is implicit. Rows with k above the
+        class degree are kept: Sq^k of a vector of degree >= k reads them."""
+        squares: dict[int, dict[int, int]] = {}
         for k, row in self.sq.items():
             for i, mask in row.items():
-                squares[1 << i][k] = mask
+                squares.setdefault(i, {})[k] = mask
         return squares
 
     @cached_property
-    def _cup_rows(self) -> dict[tuple, int]:
-        """(bit, bit) -> mask of the product of two basis classes, in both
-        orders; the unit acts as the identity and products above the top
-        degree vanish."""
-        rows: dict[tuple, int] = {}
+    def _cup_rows(self) -> dict[int, dict[int, int]]:
+        """class index i -> {j: product of classes i and j}, both orders,
+        stored entries only; products above the top degree vanish, and
+        cup_product applies the unit, which has no row, as the identity."""
+        rows: dict[int, dict[int, int]] = {}
         for (i, j), mask in self.cup.items():
             if self.basis[i][1] + self.basis[j][1] <= self.top_degree:
-                rows[1 << i, 1 << j] = rows[1 << j, 1 << i] = mask
-        if self.unit() is not None:
-            bu = 1 << self.index(self.unit())
-            for i in range(len(self.basis)):
-                rows[bu, 1 << i] = rows[1 << i, bu] = 1 << i
+                rows.setdefault(i, {})[j] = mask
+                rows.setdefault(j, {})[i] = mask
         return rows
+
+    @cached_property
+    def _unit_bit(self) -> int:
+        unit = self.unit()
+        return 0 if unit is None else 1 << self.index(unit)
 
     def degree(self, name: str) -> int:
         return self.basis[self.index(name)][1]
@@ -101,7 +107,7 @@ class UnstableModule:
 
     def names(self, mask: int) -> tuple:
         """The basis classes of a mask, in declaration order."""
-        return tuple(self.basis[bit.bit_length() - 1][0] for bit in _bits(mask))
+        return tuple(self.basis[i][0] for i in _bits(mask))
 
     def classes_in_degree(self, d: int) -> tuple:
         return tuple(name for name, deg in self.basis if deg == d)
@@ -122,19 +128,27 @@ class UnstableModule:
         """
         if self.cup is None:
             raise ValueError("module has no cup table")
+        if (v | w) >> len(self.basis):
+            raise UnknownClass(f"bit {(v | w).bit_length() - 1} is not a basis class")
+        u, acc = self._unit_bit, 0
+        if (v | w) & u:  # the unit acts as the identity
+            acc = (w if v & u else 0) ^ (v & ~u if w & u else 0)
+            v, w = v & ~u, w & ~u
         rows = self._cup_rows
-        acc = 0
-        for bx in _bits(v):
-            for by in _bits(w):
-                acc ^= rows.get((bx, by), 0)
+        if not (v & (v - 1) or w & (w - 1)):  # one class or none on each side
+            return acc ^ rows.get(v.bit_length() - 1, {}).get(w.bit_length() - 1, 0)
+        for i in _bits(v):
+            row = rows.get(i, {})
+            for j in _bits(w):
+                acc ^= row.get(j, 0)
         return acc
 
 
 def _bits(mask: int):
-    """The set bits of a mask, lowest first, each as a one-bit int."""
+    """The class indices of the set bits of a mask, lowest first."""
     while mask:
         low = mask & -mask
-        yield low
+        yield low.bit_length() - 1
         mask ^= low
 
 
@@ -157,8 +171,8 @@ def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
         raise UnknownClass(f"bit {v.mask.bit_length() - 1} is not a basis class")
     squares = m._squares
     acc = 0
-    for bit in _bits(v.mask):
-        acc ^= squares[bit].get(k, 0)
+    for i in _bits(v.mask):
+        acc ^= squares.get(i, {}).get(k, 0)
     return F2Vector(v.degree + k, acc)
 
 
@@ -202,8 +216,8 @@ def _squares_of(squares: dict, mask: int, degree: int) -> dict[int, int]:
     of the vector, even where that row breaks instability for the class.
     """
     out: dict[int, int] = {}
-    for bit in _bits(mask):
-        for k, row in squares[bit].items():
+    for i in _bits(mask):
+        for k, row in squares.get(i, {}).items():
             if 1 <= k <= degree:
                 out[k] = out.get(k, 0) ^ row
     return out
@@ -228,17 +242,20 @@ def validate(m: UnstableModule) -> Report:
                 rep.add("instability", FAIL,
                         f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
 
-    # Sq^k u is squares[bit of u].get(k, 0) for 0 <= k <= deg u
+    # Sq^k u is squares[index of u].get(k, 0) for 1 <= k <= deg u
     squares = m._squares
 
     if m.cup is None:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
         rep.add("cartan", NOTE, "no cup table stored; check skipped")
     else:
-        for i, (name, deg) in enumerate(m.basis):
+        # both sides vanish unless Sq^(deg u) u or u cup u is stored
+        for i in sorted({i for i, row in squares.items() if m.basis[i][1] in row}
+                        | {i for i, row in m._cup_rows.items() if i in row}):
+            name, deg = m.basis[i]
             if deg < 1:
                 continue
-            left = squares[1 << i].get(deg, 0)
+            left = squares.get(i, {}).get(deg, 0)
             right = m.cup_product(1 << i, 1 << i)
             if left != right:
                 rep.add("square-rule", FAIL,
@@ -255,7 +272,8 @@ def validate(m: UnstableModule) -> Report:
             # where a stored square makes one of them nonzero
             left = _squares_of(squares, product, dx + dy)
             right: dict[int, int] = {}
-            sx, sy = squares[1 << ix], squares[1 << iy]
+            sx = {0: 1 << ix} | squares.get(ix, {})
+            sy = {0: 1 << iy} | squares.get(iy, {})
             for j, vx in sx.items():
                 for k, vy in sy.items():
                     if j <= dx and k <= dy and j + k:
@@ -274,11 +292,12 @@ def validate(m: UnstableModule) -> Report:
     # appears, on the left or as an expansion term, are tried.
     top = m.top_degree
     adem = []
-    for i, (name, deg) in enumerate(m.basis):
+    for i, row in squares.items():  # no stored square: every Sq^x Sq^y u is 0
+        name, deg = m.basis[i]
         # (x, y) -> Sq^x Sq^y u, nonzero values only
-        twice = {(x, y): row
-                 for y, v in squares[1 << i].items() if y <= deg
-                 for x, row in _squares_of(squares, v, deg + y).items() if row}
+        twice = {(x, 0): v for x, v in row.items() if x <= deg}
+        twice.update(((x, y), r) for y, v in row.items() if y <= deg
+                     for x, r in _squares_of(squares, v, deg + y).items() if r)
         pairs = set()
         for x, y in twice:
             if x + y > top:

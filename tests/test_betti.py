@@ -22,7 +22,6 @@ from hilb2 import (
     catalog_names,
     integral_sym2,
     load_descriptor,
-    torsion_flags_hilb2,
 )
 from hilb2.betti import GroupProfile
 from hilb2.catalog import _projective
@@ -182,18 +181,6 @@ def test_euler_characteristics():
     for name, chi in [("p1", 3), ("p2", 9), ("p3", 18), ("k3", 324),
                       ("enriques_x", 90), ("elliptic_y", 90)]:
         assert betti_hilb2_exact(catalog_get(name)).euler() == chi, name
-
-
-def test_torsion_flags_propagate():
-    flags = torsion_flags_hilb2(catalog_get("p3"))
-    assert (flags.no_2_torsion, flags.no_torsion, flags.torsion_free_even) == \
-        (True, True, True)
-    flags = torsion_flags_hilb2(catalog_get("enriques_x"))
-    assert (flags.no_2_torsion, flags.no_torsion, flags.torsion_free_even) == \
-        (False, False, False)
-    flags = torsion_flags_hilb2(catalog_get("elliptic_y"))
-    assert (flags.no_2_torsion, flags.no_torsion, flags.torsion_free_even) == \
-        (False, False, False)
 
 
 # Reference counts: enumerate basis classes and pairs one by one, with no

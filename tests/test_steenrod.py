@@ -72,6 +72,13 @@ def test_sq_unknown_name_raises():
         m.basis_vector("ghost")
 
 
+def test_cup_product_of_a_bit_outside_the_basis_raises():
+    m = catalog_get("p2").module  # three classes
+    for v, w in ((0b001, 1 << 7), (1 << 7, 0b010)):
+        with pytest.raises(UnknownClass, match="bit 7 is not a basis class"):
+            m.cup_product(v, w)
+
+
 def test_adem_small_expansions():
     assert adem_expand(1, 1) == []
     assert adem_expand(1, 2) == [(3, 0)]
@@ -206,6 +213,26 @@ def test_validation_work_does_not_grow_with_the_degree(monkeypatch):
         assert validate(d.module).ok
         counts.append((calls.count("cup"), calls.count("sq")))
     assert counts[0] == counts[1]
+
+
+def test_validation_work_does_not_grow_with_the_basis(monkeypatch):
+    # cup-free surfaces with N classes in degree 2: the Adem check reads the
+    # stored rows only, so it sums no square when none is stored, and the
+    # same squares for one stored Sq^2 c1 = top whatever N is
+    calls = []
+    squares = steenrod._squares_of
+    monkeypatch.setattr(steenrod, "_squares_of",
+                        lambda *args: calls.append(args) or squares(*args))
+    counts = []
+    for n_classes in (10, 5000):
+        top = f"c{n_classes + 1}"
+        for sq_table in (None, [{"k": 2, "from": "c1", "to": [top]}]):
+            d = parse_only(n=2, degrees=[0] + [2] * n_classes + [4], sq=sq_table)
+            calls.clear()
+            assert validate(d.module).ok
+            counts.append(len(calls))
+    assert counts[:2] == counts[2:]
+    assert counts[0] == 0
 
 
 # Reference: the dense validator, which forms both sides of the Cartan
