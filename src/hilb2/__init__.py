@@ -21,12 +21,10 @@ from .betti import (
 )
 from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
 from .exdiv import (
-    OutOfRange,
     betti_exceptional,
     boundary_no_b,
     boundary_with_b,
     coefficient,
-    e_multiply,
     format_exclass,
     from_base,
     hilb_restriction,
@@ -68,7 +66,6 @@ __all__ = [
     "KernelGenerator",
     "ManifoldDescriptor",
     "NegativeRank",
-    "OutOfRange",
     "Report",
     "Sq1NotZero",
     "TorsionFlagRequired",
@@ -93,7 +90,6 @@ __all__ = [
     "corollary_check",
     "descriptor_to_json",
     "descriptor_violations",
-    "e_multiply",
     "format_exclass",
     "from_base",
     "hilb_restriction",

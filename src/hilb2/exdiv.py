@@ -19,21 +19,22 @@ degree 2r; boundary_no_b(u) is L_s(u) for the other parity, in degree
 2r - 1. For even r the with-b ladder is also the restriction to E of the
 fundamental class of the Hilbert square of Z inside that of X
 (hilb_restriction). Empty ladders (r = 0 with s = 1, or r = 2n with s = 0,
-where the ambient group vanishes) give the zero class. The kernel module
-lists e^j L_s(u) for 0 <= j <= n - 1 - s - t as family 1 + (r mod 2) + 2s.
+where the ambient group vanishes) give the zero class.
+
+The bit layout is this module's alone: other modules read a class on E
+through coefficient and leading_power. shifted_ladders lists the kernel
+generators e^j L_s(u) for 0 <= j <= n - 1 - s - t. Each ladder is computed
+once, at j = 0, and its e^j shifts are the same bits moved up j blocks of N.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from . import steenrod
 from .gf2 import F2Vector
 from .spaces import BettiTable, ManifoldDescriptor, ladder_counts
 from .steenrod import UnknownClass
-
-
-class OutOfRange(ValueError):
-    """Multiplication by e would need the e^n reduction, which requires
-    Chern class data this presentation does not carry."""
 
 
 def from_base(d: ManifoldDescriptor, v: F2Vector) -> F2Vector:
@@ -47,19 +48,10 @@ def coefficient(d: ManifoldDescriptor, c: F2Vector, j: int) -> F2Vector:
     return F2Vector(c.degree - 2 * j, (c.mask >> j * width) & ((1 << width) - 1))
 
 
-def e_multiply(d: ManifoldDescriptor, c: F2Vector) -> F2Vector:
-    """Multiply by e, shifting every coefficient one power up.
-
-    The top coefficient must be zero: rewriting e^n in terms of lower powers
-    needs Chern classes of X, which a descriptor does not carry, so a nonzero
-    carry raises OutOfRange instead of guessing.
-    """
-    width = len(d.module.basis)
-    if c.mask >> (d.n - 1) * width:
-        raise OutOfRange(
-            f"e * (e^{d.n - 1} term) leaves the stored range; the e^{d.n} "
-            "reduction is not available")
-    return F2Vector(c.degree + 2, c.mask << width)
+def leading_power(d: ManifoldDescriptor, mask: int) -> int:
+    """The highest e-power with a nonzero coefficient in the nonzero class
+    with this mask."""
+    return (mask.bit_length() - 1) // len(d.module.basis)
 
 
 def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
@@ -95,6 +87,29 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
             return F2Vector(degree)
         mask |= val << power * width
     return F2Vector(degree, mask)
+
+
+def shifted_ladders(d: ManifoldDescriptor
+                    ) -> Iterator[tuple[int, int, int, F2Vector]]:
+    """(i, s, j, e^j L_s(x_i)) for every basis class x_i in order, s inner,
+    j innermost, 0 <= j <= n - 1 - s - t; a zero ladder is skipped.
+
+    s = 1 only when the module stores an odd square, since the odd-square
+    ladders read odd squares alone and are zero without one. The top
+    e-power of e^j L_s(x_i) stays below n, so no e^n carry can occur.
+    """
+    m = d.module
+    width = len(m.basis)
+    parities = (0, 1) if any(k % 2 for k in m.sq) else (0,)
+    for i, (_, deg) in enumerate(m.basis):
+        u = F2Vector(deg, 1 << i)
+        for s in parities:
+            base = _ladder(d, u, s)
+            if base.is_zero():
+                continue
+            for j in range(d.n - s - (deg - s) // 2):
+                yield i, s, j, F2Vector(base.degree + 2 * j,
+                                        base.mask << j * width)
 
 
 def boundary_no_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:
@@ -151,7 +166,7 @@ def format_exclass(d: ManifoldDescriptor, c: F2Vector) -> str:
     parts = []
     rest = c.mask
     while rest:  # visit only the nonzero e-powers, highest first
-        j = (rest.bit_length() - 1) // width
+        j = leading_power(d, rest)
         rest &= (1 << j * width) - 1
         names = sorted(d.module.names(coefficient(d, c, j).mask))
         e_part = "" if j == 0 else ("e" if j == 1 else f"e^{j}")

@@ -15,9 +15,8 @@ terms e^(j+t) u. Families 3 and 4 are the odd-square ladders (s = 1) and
 vanish identically when Sq^1 = 0; they are computed only when the module
 stores some odd square.
 
-Each ladder is computed once, at j = 0, and its e^j shifts are the same bits
-moved up j blocks of N (see exdiv). A ladder that collapses to zero
-contributes no generators, so every listed generator is nonzero.
+exdiv.shifted_ladders lists the generators; a ladder that collapses to zero
+contributes none, so every listed generator is nonzero.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class KernelGenerator:
     family: int  # 1..4
     source: str  # basis class u
     j: int  # e-power multiplying the ladder
-    value: F2Vector  # bit j*N + i for e^j x_i, as in exdiv
+    value: F2Vector  # a class on E, in exdiv's bit layout
 
     @property
     def is_zero(self) -> bool:
@@ -53,25 +52,9 @@ def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
 
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
-    """s = 1 only when the module stores an odd square, since the odd-square
-    ladders read odd squares alone and are zero without one."""
-    width = len(d.module.basis)
-    parities = (0, 1) if any(k % 2 for k in d.module.sq) else (0,)
-    out: list[KernelGenerator] = []
-    for i, (name, deg) in enumerate(d.module.basis):
-        u = F2Vector(deg, 1 << i)
-        for s in parities:
-            base = exdiv._ladder(d, u, s)
-            if base.is_zero():
-                continue
-            family = 1 + deg % 2 + 2 * s
-            j_max = d.n - 1 - s - (deg - s) // 2
-            # e^j times the ladder; its top e-power stays below n, so no
-            # e^n carry can occur (see exdiv.e_multiply)
-            out.extend(KernelGenerator(family, name, j, F2Vector(
-                base.degree + 2 * j, base.mask << j * width))
-                for j in range(j_max + 1))
-    return out
+    basis = d.module.basis
+    return [KernelGenerator(1 + basis[i][1] % 2 + 2 * s, basis[i][0], j, value)
+            for i, s, j, value in exdiv.shifted_ladders(d)]
 
 
 def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
@@ -114,8 +97,9 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     state of the generator are those of L one-bit draws. The leading bits
     of the nonzero elements of a pool's span are those of its echelon form
     (gf2.pivots), so a degree can fail exactly when some pivot leads at an
-    e-power p with 2(k - p) > k. Samples of the other degrees are only
-    counted; in a degree that can fail, each sample XORs its picks.
+    e-power p with 2(k - p) > k. The e-power grows with the bit, so the
+    lowest pivot decides. Samples of the other degrees are only counted;
+    in a degree that can fail, each sample XORs its picks.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -130,14 +114,14 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     if not by_degree:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
-    width = len(d.module.basis)
     # degree -> (pool, mask of its pick bits, whether a sample there can fail)
     plan = {}
     for degree, pool in by_degree.items():
         k = degree // 2
         leads = gf2.pivots(g.value.mask for g in pool)
+        p_min = exdiv.leading_power(d, leads[min(leads)])
         plan[degree] = (pool, sum(1 << 32 * i + 31 for i in range(len(pool))),
-                        any(2 * (k - (lead - 1) // width) > k for lead in leads))
+                        2 * (k - p_min) > k)
     rng = random.Random(seed)
     degrees = sorted(by_degree)
     tested = 0
@@ -157,7 +141,7 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         if not w:
             continue
         k = degree // 2
-        p = (w.bit_length() - 1) // width
+        p = exdiv.leading_power(d, w)
         if 2 * (k - p) > k:
             coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
             rep.add("corollary", FAIL, {

@@ -123,8 +123,7 @@ class BettiTable:
         return sum(v if k % 2 == 0 else -v for k, v in self.dims.items())
 
     def is_palindromic(self) -> bool:
-        return all(self.dim(k) == self.dim(self.top - k)
-                   for k in range(self.top + 1))
+        return all(self.dim(self.top - k) == v for k, v in self.dims.items())
 
 
 def _expect_keys(obj: dict, required: dict, optional: dict, where: str) -> None:
@@ -327,10 +326,12 @@ def _violations(d: ManifoldDescriptor) -> Report:
 def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
     """On a closed manifold with w_1 = 0, Sq^1 on H^k and Sq^1 on H^(2n-k-1)
     are adjoint under the cup pairing, so their ranks agree (Milnor-Stasheff
-    section 11). The pair k = 0 is left to instability and orientability."""
+    section 11). The pair k = 0 is left to instability and orientability.
+    Only degrees with a stored Sq^1 row and their partners are compared."""
     m, top = d.module, 2 * d.n
     rows = _rows_by_degree(m, m.sq.get(1, {}))
-    for k in range(1, d.n):
+    # of k and 2n - 1 - k, the smaller is below n
+    for k in sorted({min(r, top - 1 - r) for r in rows if 0 < r < top - 1}):
         low = len(gf2.pivots(rows.get(k, ())))
         high = len(gf2.pivots(rows.get(top - 1 - k, ())))
         if low != high:
@@ -354,8 +355,9 @@ def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable,
             if i != j:
                 pairs[j] = pairs.get(j, 0) ^ 1 << i
     rows = _rows_by_degree(m, pairs)
-    # the pairing is symmetric, so degree 2n - k repeats the rank of degree k
-    for k in range(d.n + 1):
+    # the pairing is symmetric, so degree 2n - k repeats the rank of degree k;
+    # a degree without classes has no rows and b_k = 0
+    for k in sorted(k for k in table.dims if k <= d.n):
         rank = len(gf2.pivots(rows.get(k, ())))
         if rank != table.dim(k):
             rep.add("cup-pairing", FAIL,

@@ -163,12 +163,12 @@ def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
     >>> sq(m, 3, m.basis_vector("h")).is_zero()
     True
     """
+    if v.mask >> len(m.basis):
+        raise UnknownClass(f"bit {v.mask.bit_length() - 1} is not a basis class")
     if k == 0:
         return v
     if k < 0 or k > v.degree:
         return F2Vector(v.degree + k)
-    if v.mask >> len(m.basis):
-        raise UnknownClass(f"bit {v.mask.bit_length() - 1} is not a basis class")
     squares = m._squares
     acc = 0
     for i in _bits(v.mask):

@@ -1,8 +1,9 @@
-"""Shared descriptor builders for the test suite."""
+"""Shared descriptor builders and reference helpers for the test suite."""
 
 import json
 
 from hilb2 import load_descriptor, parse_descriptor
+from hilb2.gf2 import F2Vector
 
 
 def descriptor_obj(n, degrees=None, classes=None, sq=None, cup=None,
@@ -37,6 +38,23 @@ def make_descriptor(**kw):
 def parse_only(**kw):
     """Structurally parsed descriptor, axiom checks deliberately skipped."""
     return parse_descriptor(json.dumps(descriptor_obj(**kw)))
+
+
+class OutOfRange(ValueError):
+    """Multiplication by e would need the e^n reduction, which requires
+    Chern class data a descriptor does not carry."""
+
+
+def e_multiply(d, c):
+    """Multiply a class on E by e, shifting every coefficient one power up,
+    N bits of the layout. A nonzero top coefficient raises OutOfRange
+    instead of guessing the e^n reduction."""
+    width = len(d.module.basis)
+    if c.mask >> (d.n - 1) * width:
+        raise OutOfRange(
+            f"e * (e^{d.n - 1} term) leaves the stored range; the e^{d.n} "
+            "reduction is not available")
+    return F2Vector(c.degree + 2, c.mask << width)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

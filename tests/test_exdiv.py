@@ -4,16 +4,14 @@ import random
 
 import pytest
 
-from conftest import make_descriptor
+from conftest import e_multiply, make_descriptor
 from hilb2 import (
-    OutOfRange,
     betti_exceptional,
     boundary_no_b,
     boundary_with_b,
     catalog_get,
     catalog_names,
     coefficient,
-    e_multiply,
     format_exclass,
     from_base,
     hilb_restriction,
@@ -38,13 +36,6 @@ def test_from_base_and_e_multiply_shift():
     assert coefficient(d, eh, 1) == d.module.basis_vector("h")
     assert coefficient(d, eh, 1).degree == 2
     assert coefficient(d, eh, 0).is_zero()
-
-
-def test_e_multiply_raises_beyond_stored_range():
-    d = catalog_get("p2")  # n = 2, powers 0 and 1 stored
-    top = e_multiply(d, from_base(d, d.module.basis_vector("h")))
-    with pytest.raises(OutOfRange):
-        e_multiply(d, top)
 
 
 def test_zero_class_properties():

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from conftest import make_descriptor
+from conftest import e_multiply, make_descriptor
 from hilb2 import (
     KernelGenerator,
     catalog_get,
     catalog_names,
     corollary_check,
     descriptor_to_json,
-    e_multiply,
     from_base,
     kernel,
     kernel_dimensions,

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import OutOfRange, e_multiply
 from hilb2 import (catalog_get, catalog_text, corollary_check, exdiv, kernel,
                    kernel_dimensions, kernel_generators)
-from hilb2.exdiv import OutOfRange
 from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
 from hilb2.report import FAIL, PASS, Report
@@ -72,7 +72,7 @@ def generators_by_e_multiply(d):
         for family, value, j_max in ladders:
             for j in range(j_max + 1):
                 if j > 0:
-                    value = exdiv.e_multiply(d, value)
+                    value = e_multiply(d, value)
                 out.append((family, name, j, value))
     return out
 

@@ -16,6 +16,7 @@ from hilb2 import (
     catalog_names,
     catalog_text,
     descriptor_to_json,
+    gf2,
     load_descriptor,
     parse_descriptor,
 )
@@ -320,6 +321,35 @@ def test_cup_pairing_must_be_nondegenerate():
     # without a cup table there is nothing to check
     make_descriptor(n=2, degrees=[0, 2, 2, 4], cup=cup[:2], sq=sq[:1])
     make_descriptor(n=2, degrees=[0, 2, 2, 4], sq=sq)
+
+
+def two_class_text(n, cup=False):
+    """The unit and the top class of a compact n-fold; with cup, also a and
+    b in degree n with a cup b = top."""
+    classes = [{"name": "1", "degree": 0}, {"name": "top", "degree": 2 * n}]
+    if not cup:
+        return json.dumps(descriptor_obj(n=n, classes=classes))
+    classes[1:1] = [{"name": "a", "degree": n}, {"name": "b", "degree": n}]
+    return json.dumps(descriptor_obj(
+        n=n, classes=classes, cup=[{"a": "a", "b": "b", "result": ["top"]}]))
+
+
+def test_duality_checks_do_not_walk_every_degree(monkeypatch):
+    # the loader's eliminations follow the degrees that hold classes, not n
+    pivots, calls = gf2.pivots, []
+
+    def counted(rows):
+        calls.append(1)
+        return pivots(rows)
+
+    monkeypatch.setattr(gf2, "pivots", counted)
+    for cup in (False, True):
+        counts = []
+        for n in (10, 10 ** 6):
+            calls.clear()
+            load_descriptor(two_class_text(n, cup))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (cup, counts)
 
 
 def test_catalog_and_benchmark_inputs_still_load():

@@ -68,6 +68,10 @@ def test_sq_unknown_name_raises():
     m = simple_module()
     with pytest.raises(UnknownClass):
         sq(m, 1, F2Vector(1, 1 << len(m.basis)))  # no class has this bit
+    # whatever k is: above the degree, zero, or negative
+    for k in (5, 0, -1):
+        with pytest.raises(UnknownClass):
+            sq(m, k, F2Vector(2, 1 << 40))
     with pytest.raises(UnknownClass):
         m.basis_vector("ghost")
 
