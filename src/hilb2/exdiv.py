@@ -71,9 +71,9 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
     t = (u.degree - s) // 2
     degree = u.degree + s + 2 * t
     if u.mask & (u.mask - 1):
-        squares = steenrod._squares_of(m._squares, u.mask, u.degree)
+        squares = steenrod._squares_of(m.sq, u.mask, u.degree)
     else:
-        squares = m._squares.get(u.mask.bit_length() - 1, {})
+        squares = m.sq.get(u.mask.bit_length() - 1, {})
     mask = u.mask << t * width if not s and t >= 0 else 0  # Sq^0 u = u
     if mask and t >= d.n:
         return F2Vector(degree)
@@ -100,7 +100,7 @@ def shifted_ladders(d: ManifoldDescriptor
     """
     m = d.module
     width = len(m.basis)
-    parities = (0, 1) if any(k % 2 for k in m.sq) else (0,)
+    parities = (0, 1) if any(k % 2 for row in m.sq.values() for k in row) else (0,)
     for i, (_, deg) in enumerate(m.basis):
         u = F2Vector(deg, 1 << i)
         for s in parities:

@@ -120,7 +120,7 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         k = degree // 2
         leads = gf2.pivots(g.value.mask for g in pool)
         p_min = exdiv.leading_power(d, leads[min(leads)])
-        plan[degree] = (pool, sum(1 << 32 * i + 31 for i in range(len(pool))),
+        plan[degree] = (pool, int.from_bytes(b"\0\0\0\x80" * len(pool), "little"),
                         2 * (k - p_min) > k)
     rng = random.Random(seed)
     degrees = sorted(by_degree)

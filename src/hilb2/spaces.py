@@ -21,11 +21,11 @@ a complete symmetric product table over positive-degree classes (absent
 pairs multiply to zero; products with the unique degree-0 class are
 implicit). A class appears at most once in a to or result list. The
 integral flags describe the integral cohomology of X and default to false.
-Unknown keys are rejected everywhere.
+Unknown and repeated keys are rejected everywhere.
 
 parse_descriptor keeps one map from class name to index, and class i is
-bit i of a mask. It stores the sq list as k -> {class index -> mask},
-nonzero rows only, and the cup list as (i, j) with i <= j -> mask; see
+bit i of a mask. It stores the sq list as class index -> {k: mask}, with
+nonzero masks only, and the cup list as (i, j) with i <= j -> mask; see
 steenrod.UnstableModule. Reports and exports name the classes of a mask
 in basis order.
 
@@ -140,18 +140,27 @@ def _expect_keys(obj: dict, required: dict, optional: dict, where: str) -> None:
                 where)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; json.loads alone keeps the last value of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise DescriptorError(f"repeated key {key!r}")
+    return obj
+
+
 def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     """Structural parse: schema, references, duplicates. No axiom checks."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise DescriptorError(
             f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except ValueError as exc:
-        # a JSONDecodeError, or an integer literal past the interpreter's
-        # limit on digits converted from a string
+        # a JSONDecodeError, a repeated key, or an integer literal past the
+        # interpreter's limit on digits converted from a string
         raise DescriptorError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DescriptorError("invalid JSON: nested too deeply") from None
@@ -215,7 +224,7 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
                                   where)
         sq_seen.add((k, src))
         if mask:
-            sq.setdefault(k, {})[index[src]] = mask
+            sq.setdefault(index[src], {})[k] = mask
 
     unit = next((name for name, deg in basis if deg == 0), None)
     cup: dict[tuple, int] | None = None
@@ -294,7 +303,7 @@ def _violations(d: ManifoldDescriptor) -> Report:
                     f"mod-2 Betti numbers {table.as_row()} are not palindromic")
         # Sq^1 into the top degree is the cup product with v_1 = w_1, which
         # vanishes on a closed complex manifold (it is orientable)
-        for i in sorted(m.sq.get(1, ())):
+        for i in sorted(i for i, row in m.sq.items() if 1 in row):
             name, deg = m.basis[i]
             if deg == 2 * d.n - 1:
                 rep.add("orientability", FAIL,
@@ -329,7 +338,7 @@ def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
     section 11). The pair k = 0 is left to instability and orientability.
     Only degrees with a stored Sq^1 row and their partners are compared."""
     m, top = d.module, 2 * d.n
-    rows = _rows_by_degree(m, m.sq.get(1, {}))
+    rows = _rows_by_degree(m, {i: row[1] for i, row in m.sq.items() if 1 in row})
     # of k and 2n - 1 - k, the smaller is below n
     for k in sorted({min(r, top - 1 - r) for r in rows if 0 < r < top - 1}):
         low = len(gf2.pivots(rows.get(k, ())))
@@ -393,7 +402,8 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
         "classes": [{"name": name, "degree": deg} for name, deg in m.basis],
     }
     sq_rows = [{"k": k, "from": m.basis[i][0], "to": m.names(mask)}
-               for k in sorted(m.sq) for i, mask in sorted(m.sq[k].items())]
+               for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
+                                        for k, mask in row.items())]
     if sq_rows:
         out["sq"] = sq_rows
     if m.cup is not None:
@@ -415,9 +425,13 @@ def _degree_counts(d: ManifoldDescriptor) -> Counter:
 
 
 def pair_counts(d: ManifoldDescriptor) -> Counter:
-    """Unordered pairs of distinct basis classes of X by total degree: the
-    coefficients of (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k."""
-    b = _degree_counts(d)
+    """Unordered pairs of distinct basis classes of X by total degree, the
+    coefficients of (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k; counted
+    once per descriptor, and the returned Counter is shared."""
+    return once(d, "pair_counts", lambda: _pair_counts(_degree_counts(d)))
+
+
+def _pair_counts(b: Counter) -> Counter:
     twice = Counter()
     for x in b:
         for y in b:

@@ -53,10 +53,10 @@ class UnstableModule:
     """Graded basis, sparse Sq table, optional cup table, top nonzero degree.
 
     basis entries are (name, degree) in declaration order, and class i is
-    bit i of a mask. sq maps k -> {class index -> mask of Sq^k of that
-    class}, nonzero rows only; cup maps an index pair (i, j) with i <= j to
-    the mask of their product, or is None when the product structure is
-    unknown.
+    bit i of a mask. sq maps class index i -> {k: mask of Sq^k x_i}, nonzero
+    masks of classes with a stored square only; Sq^0 is implicit, and k may
+    exceed deg x_i. cup maps an index pair (i, j) with i <= j to the mask of
+    their product, or is None when the product structure is unknown.
     """
 
     basis: tuple
@@ -67,17 +67,6 @@ class UnstableModule:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, (name, _) in enumerate(self.basis)}
-
-    @cached_property
-    def _squares(self) -> dict[int, dict[int, int]]:
-        """class index -> its nonzero stored squares {k: mask}, for classes
-        with a stored square only; Sq^0 is implicit. Rows with k above the
-        class degree are kept: Sq^k of a vector of degree >= k reads them."""
-        squares: dict[int, dict[int, int]] = {}
-        for k, row in self.sq.items():
-            for i, mask in row.items():
-                squares.setdefault(i, {})[k] = mask
-        return squares
 
     @cached_property
     def _cup_rows(self) -> dict[int, dict[int, int]]:
@@ -157,7 +146,7 @@ def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
     Sq^k v = 0 for k > deg(v) or k < 0.
 
     >>> m = UnstableModule((("1", 0), ("h", 2), ("h2", 4)),
-    ...                    {2: {1: 0b100}}, None, 4)
+    ...                    {1: {2: 0b100}}, None, 4)
     >>> m.names(sq(m, 2, m.basis_vector("h")).mask)
     ('h2',)
     >>> sq(m, 3, m.basis_vector("h")).is_zero()
@@ -169,16 +158,15 @@ def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
         return v
     if k < 0 or k > v.degree:
         return F2Vector(v.degree + k)
-    squares = m._squares
     acc = 0
     for i in _bits(v.mask):
-        acc ^= squares.get(i, {}).get(k, 0)
+        acc ^= m.sq.get(i, {}).get(k, 0)
     return F2Vector(v.degree + k, acc)
 
 
 def is_sq1_zero(m: UnstableModule) -> bool:
     """Whether Sq^1 vanishes identically (true for the empty module)."""
-    return not m.sq.get(1)
+    return not any(1 in row for row in m.sq.values())
 
 
 def adem_expand(a: int, b: int) -> list[tuple[int, int]]:
@@ -230,32 +218,29 @@ def validate(m: UnstableModule) -> Report:
     note for each check that had to be skipped. No failures means valid.
     """
     rep = Report()
-    for k in sorted(m.sq):
-        for i, mask in sorted(m.sq[k].items()):
-            u, du = m.basis[i]
-            for t in m.names(mask):
-                if m.degree(t) != du + k:
-                    rep.add("degree-shift", FAIL,
-                            f"Sq^{k} {u} contains {t} of degree {m.degree(t)}, "
-                            f"expected degree {du + k}")
-            if k > du:
-                rep.add("instability", FAIL,
-                        f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
-
-    # Sq^k u is squares[index of u].get(k, 0) for 1 <= k <= deg u
-    squares = m._squares
+    for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
+                             for k, mask in row.items()):
+        u, du = m.basis[i]
+        for t in m.names(mask):
+            if m.degree(t) != du + k:
+                rep.add("degree-shift", FAIL,
+                        f"Sq^{k} {u} contains {t} of degree {m.degree(t)}, "
+                        f"expected degree {du + k}")
+        if k > du:
+            rep.add("instability", FAIL,
+                    f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
 
     if m.cup is None:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
         rep.add("cartan", NOTE, "no cup table stored; check skipped")
     else:
         # both sides vanish unless Sq^(deg u) u or u cup u is stored
-        for i in sorted({i for i, row in squares.items() if m.basis[i][1] in row}
+        for i in sorted({i for i, row in m.sq.items() if m.basis[i][1] in row}
                         | {i for i, row in m._cup_rows.items() if i in row}):
             name, deg = m.basis[i]
             if deg < 1:
                 continue
-            left = squares.get(i, {}).get(deg, 0)
+            left = m.sq.get(i, {}).get(deg, 0)
             right = m.cup_product(1 << i, 1 << i)
             if left != right:
                 rep.add("square-rule", FAIL,
@@ -270,10 +255,10 @@ def validate(m: UnstableModule) -> Report:
                             f"expected degree {dx + dy}")
             # Sq^i of the product and the Cartan sum, only in the degrees i
             # where a stored square makes one of them nonzero
-            left = _squares_of(squares, product, dx + dy)
+            left = _squares_of(m.sq, product, dx + dy)
             right: dict[int, int] = {}
-            sx = {0: 1 << ix} | squares.get(ix, {})
-            sy = {0: 1 << iy} | squares.get(iy, {})
+            sx = {0: 1 << ix} | m.sq.get(ix, {})
+            sy = {0: 1 << iy} | m.sq.get(iy, {})
             for j, vx in sx.items():
                 for k, vy in sy.items():
                     if j <= dx and k <= dy and j + k:
@@ -292,12 +277,12 @@ def validate(m: UnstableModule) -> Report:
     # appears, on the left or as an expansion term, are tried.
     top = m.top_degree
     adem = []
-    for i, row in squares.items():  # no stored square: every Sq^x Sq^y u is 0
+    for i, row in m.sq.items():  # no stored square: every Sq^x Sq^y u is 0
         name, deg = m.basis[i]
         # (x, y) -> Sq^x Sq^y u, nonzero values only
         twice = {(x, 0): v for x, v in row.items() if x <= deg}
         twice.update(((x, y), r) for y, v in row.items() if y <= deg
-                     for x, r in _squares_of(squares, v, deg + y).items() if r)
+                     for x, r in _squares_of(m.sq, v, deg + y).items() if r)
         pairs = set()
         for x, y in twice:
             if x + y > top:

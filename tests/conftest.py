@@ -31,6 +31,17 @@ def descriptor_obj(n, degrees=None, classes=None, sq=None, cup=None,
     return obj
 
 
+# A repeated top-level key and a repeated key in a class. json.loads alone
+# keeps the last value: h would load in degree 4, with Betti row 1 0 0 0 1.
+REPEATED_KEYS = {
+    "name": '{"name": "x", "name": "y", "complex_dimension": 1, '
+            '"compact": true, "classes": [{"name": "1", "degree": 0}]}',
+    "degree": '{"name": "x", "complex_dimension": 2, "compact": true, '
+              '"classes": [{"name": "1", "degree": 0}, '
+              '{"name": "h", "degree": 2, "degree": 4}]}',
+}
+
+
 def make_descriptor(**kw):
     return load_descriptor(json.dumps(descriptor_obj(**kw)))
 

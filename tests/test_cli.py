@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import descriptor_obj
+from conftest import REPEATED_KEYS, descriptor_obj
 import hilb2
 from hilb2 import BettiTable, catalog_text
 from hilb2 import cli
@@ -77,6 +77,16 @@ def test_hostile_files_exit_one_without_a_traceback(tmp_path, capsys):
     code, _, err = run(["validate", str(latin1)], capsys)
     assert code == 1
     assert err.startswith("error: ") and "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_KEYS))
+def test_repeated_key_exits_one(key, tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(REPEATED_KEYS[key])
+    for argv in (["validate", str(path)], ["betti", str(path), "--space", "x"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (
+            1, "", f"error: invalid JSON: repeated key {key!r}\n")
 
 
 def test_integer_literal_past_the_digit_limit_exits_one(tmp_path, capsys):

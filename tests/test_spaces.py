@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import descriptor_obj, make_descriptor
+from conftest import REPEATED_KEYS, descriptor_obj, make_descriptor
 from hilb2 import (
     BettiTable,
     DescriptorError,
@@ -20,6 +20,7 @@ from hilb2 import (
     load_descriptor,
     parse_descriptor,
 )
+from hilb2.steenrod import UnstableModule
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "bench"))
@@ -60,6 +61,12 @@ def test_unknown_top_level_key_rejected():
     with pytest.raises(DescriptorError) as exc:
         parse(obj)
     assert exc.value.location == "top level"
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_KEYS))
+def test_repeated_key_rejected(key):
+    with pytest.raises(DescriptorError, match=f"repeated key '{key}'"):
+        parse_descriptor(REPEATED_KEYS[key])
 
 
 def test_missing_required_key_rejected():
@@ -228,6 +235,13 @@ def test_axiom_violations_raise_invalid_descriptor():
         make_descriptor(n=2, degrees=[0, 1, 2, 3, 4],
                         sq=[{"k": 3, "from": "c1", "to": ["c4"]}])
     assert not exc.value.report.ok
+
+
+def test_the_sq_table_is_stored_once_by_class_index():
+    assert catalog_get("p2").module.sq == {1: {2: 0b100}}
+    assert catalog_get("enriques_x").module.sq == {1: {1: 1 << 2},
+                                                   3: {1: 1 << 14}}
+    assert not hasattr(UnstableModule, "_squares")
 
 
 def test_betti_of_x_counts_by_degree():

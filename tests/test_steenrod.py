@@ -55,7 +55,7 @@ def test_sq_above_degree_vanishes():
 def test_sq_is_additive():
     m = UnstableModule(
         basis=(("1", 0), ("a", 1), ("b", 1), ("x", 2)),
-        sq={1: {1: 0b1000, 2: 0b1000}},  # Sq^1 a = Sq^1 b = x
+        sq={1: {1: 0b1000}, 2: {1: 0b1000}},  # Sq^1 a = Sq^1 b = x
         cup=None,
         top_degree=4,
     )
@@ -247,8 +247,12 @@ def dense_validate(m):
     rep = Report()
     members = [1 << t for t in range(len(m.basis))]  # brute force over the basis
 
-    for k in sorted(m.sq):
-        for i, mask in sorted(m.sq[k].items()):
+    by_k = {}  # k -> {class index -> mask of Sq^k of the class}
+    for i, row in m.sq.items():
+        for k, mask in row.items():
+            by_k.setdefault(k, {})[i] = mask
+    for k in sorted(by_k):
+        for i, mask in sorted(by_k[k].items()):
             u, du = m.basis[i]
             for t, bit in enumerate(members):
                 if mask & bit and m.basis[t][1] != du + k:
@@ -296,7 +300,7 @@ def dense_validate(m):
                             f"{_shown(m, left.mask)}, Cartan sum gives "
                             f"{_shown(m, right.mask)}")
 
-    squared = {1 << i for row in m.sq.values() for i in row}
+    squared = {1 << i for i in m.sq}
     for b in range(1, m.top_degree + 1):
         high = [(i, name) for i, (name, deg) in enumerate(m.basis)
                 if deg >= b and 1 << i in squared]

@@ -19,6 +19,7 @@ from hilb2 import (
     known_answers,
     load_descriptor,
     run_suite,
+    spaces,
     steenrod,
 )
 
@@ -140,11 +141,13 @@ def test_run_suite_notes_redundant_kernel_degrees():
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Count the runs of validation, generator construction and span rank."""
+    """Count the runs of validation, generator construction, span rank and
+    the pair count that four Betti tables share."""
     calls = Counter()
     for module, name in ((steenrod, "validate"),
                          (kernel, "_build_generators"),
-                         (gf2, "span_dims_by_degree")):
+                         (gf2, "span_dims_by_degree"),
+                         (spaces, "_pair_counts")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -152,7 +155,8 @@ def stage_calls(monkeypatch):
     return calls
 
 
-ONCE = {"validate": 1, "_build_generators": 1, "span_dims_by_degree": 1}
+ONCE = {"validate": 1, "_build_generators": 1, "span_dims_by_degree": 1,
+        "_pair_counts": 1}
 
 
 def test_check_runs_each_stage_once(stage_calls, capsys):
