@@ -17,22 +17,20 @@ so it is not two-torsion-free.
 
 Each descriptor is built as a JSON object and stored as its canonical text,
 encoded once at import; catalog_get parses that text through the ordinary
-loader, and exports reproduce these bytes exactly.
+loader, and exports reproduce these bytes exactly. A name always means the
+built-in entry; another descriptor is passed by its file path.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from math import comb
 
 from .spaces import ManifoldDescriptor, load_descriptor
 
-CATALOG_DIR_ENV = "HILB2_CATALOG_DIR"
-
 
 class UnknownCatalogName(KeyError):
-    """Name without a built-in descriptor or an override file."""
+    """Name without a built-in descriptor."""
 
 
 def _projective(name: str, n: int) -> dict:
@@ -110,18 +108,12 @@ def catalog_names() -> tuple:
 
 
 def catalog_text(name: str) -> str:
-    """The canonical JSON text for a catalog entry (override dir respected)."""
-    override = os.environ.get(CATALOG_DIR_ENV)
-    if override:
-        path = os.path.join(override, f"{name}.json")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
+    """The canonical JSON text of a built-in catalog entry."""
     if name not in _CATALOG:
         raise UnknownCatalogName(name)
     return _CATALOG[name]
 
 
 def catalog_get(name: str) -> ManifoldDescriptor:
-    """Load a built-in space by name; HILB2_CATALOG_DIR overrides built-ins."""
+    """Load a built-in space by name."""
     return load_descriptor(catalog_text(name))

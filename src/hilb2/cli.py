@@ -16,7 +16,7 @@ import sys
 from . import betti as betti_mod
 from . import exdiv, kernel, spaces, verify
 from .betti import NegativeRank, TorsionFlagRequired
-from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
+from .catalog import UnknownCatalogName, catalog_names, catalog_text
 from .report import Report
 from .spaces import DescriptorError, ManifoldDescriptor
 from .steenrod import Sq1NotZero, is_sq1_zero
@@ -101,46 +101,36 @@ def cmd_betti(args) -> int:
     d = _load(args.path)
     if args.method and args.space != "hilb2":
         raise _InputError("--method only applies to --space hilb2")
-    if args.space == "hilb2":
-        method = args.method or "exact"
-        if method == "both":
-            exact = betti_mod.betti_hilb2_exact(d)
-            closed = betti_mod.betti_hilb2_closed(d)
-            _caveat(d, args.format)
-            if args.format == "json":
-                print(json.dumps({
-                    "space": "hilb2", "method": "both",
-                    "agree": exact == closed,
-                    "exact": _table_json(exact, "exact"),
-                    "closed": _table_json(closed, "closed"),
-                }, indent=2))
-                return 0 if exact == closed else 3
-            if exact != closed:
-                print("exact:  " + " ".join(str(v) for v in exact.as_row()),
-                      file=sys.stderr)
-                print("closed: " + " ".join(str(v) for v in closed.as_row()),
-                      file=sys.stderr)
-                print("methods disagree", file=sys.stderr)
-                return 3
-            if args.format == "table":
-                _emit_table(exact, "table", None)
-                _emit_table(closed, "table", None)
-            else:
-                _emit_table(exact, args.format, None)
-            return 0
-        table = (betti_mod.betti_hilb2_exact(d) if method == "exact"
-                 else betti_mod.betti_hilb2_closed(d))
-    else:
-        method = None
-        table = {
+    method = (args.method or "exact") if args.space == "hilb2" else None
+    if method != "both":
+        table = {  # --space hilb2 is keyed by its method
             "x": spaces.betti_of_x,
             "exceptional": exdiv.betti_exceptional,
             "sym2": betti_mod.betti_sym2_f2,
             "config": betti_mod.betti_config,
-        }[args.space](d)
+            "exact": betti_mod.betti_hilb2_exact,
+            "closed": betti_mod.betti_hilb2_closed,
+        }[method or args.space](d)
+        _caveat(d, args.format)
+        _emit_table(table, args.format, method)
+        return 0
+    exact = betti_mod.betti_hilb2_exact(d)
+    closed = betti_mod.betti_hilb2_closed(d)
+    agree = exact == closed
     _caveat(d, args.format)
-    _emit_table(table, args.format, method)
-    return 0
+    if args.format == "json":
+        print(json.dumps({"space": "hilb2", "method": "both", "agree": agree,
+                          "exact": _table_json(exact, "exact"),
+                          "closed": _table_json(closed, "closed")}, indent=2))
+    elif not agree:
+        for label, t in (("exact: ", exact), ("closed:", closed)):
+            print(label, *t.as_row(), file=sys.stderr)
+        print("methods disagree", file=sys.stderr)
+    else:  # csv prints the exact table once, table prints both rows
+        _emit_table(exact, args.format, None)
+        if args.format == "table":
+            _emit_table(closed, "table", None)
+    return 0 if agree else 3
 
 
 def cmd_kernel(args) -> int:
@@ -192,9 +182,6 @@ def cmd_catalog(args) -> int:
         text = catalog_text(args.name)
     except UnknownCatalogName:
         raise _InputError(f"unknown catalog entry {args.name!r}") from None
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"catalog entry {args.name!r} is not UTF-8 text: "
-                          f"{exc.reason} at byte {exc.start}") from None
     if args.action == "export":
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

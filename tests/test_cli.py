@@ -188,12 +188,45 @@ def test_betti_method_restricted_to_hilb2(capsys):
     assert "--method" in err
 
 
-def test_betti_both_agreeing(capsys):
-    code, out, _ = run(["betti", "k3", "--space", "hilb2", "--method", "both"],
-                       capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines == ["1 0 23 0 276 0 23 0 1"] * 2
+CAVEAT = "caveat: noncompact input; duality-based checks do not apply\n"
+NONCOMPACT = descriptor_obj(n=1, degrees=[0, 1], compact=False)
+K3_HILB2 = {"space": "hilb2", "top": 8,
+            "dims": {"0": 1, "2": 23, "4": 276, "6": 23, "8": 1},
+            "noncompact": False}
+NONCOMPACT_HILB2 = {"space": "hilb2", "top": 4, "dims": {"0": 1, "1": 1},
+                    "noncompact": True}
+WRONG_HILB2 = {"space": "hilb2", "top": 8, "dims": {"0": 1},
+               "noncompact": False}
+
+
+def both_json(exact, closed):
+    return json.dumps({"space": "hilb2", "method": "both",
+                       "agree": exact == closed,
+                       "exact": dict(exact, method="exact"),
+                       "closed": dict(closed, method="closed")},
+                      indent=2) + "\n"
+
+
+def run_both(path, fmt, capsys):
+    return run(["betti", path, "--space", "hilb2", "--method", "both",
+                "--format", fmt], capsys)
+
+
+# (stdout, stderr) for k3, then for NONCOMPACT; the caveat goes to stdout
+# only in table format, and csv prints the exact table once
+@pytest.mark.parametrize("fmt,expected", [
+    ("table", [("1 0 23 0 276 0 23 0 1\n" * 2, ""),
+               (CAVEAT + "1 1 0 0 0\n" * 2, "")]),
+    ("json", [(both_json(K3_HILB2, K3_HILB2), ""),
+              (both_json(NONCOMPACT_HILB2, NONCOMPACT_HILB2), CAVEAT)]),
+    ("csv", [("degree,dimension\n0,1\n1,0\n2,23\n3,0\n4,276\n5,0\n6,23\n"
+              "7,0\n8,1\n", ""),
+             ("degree,dimension\n0,1\n1,1\n2,0\n3,0\n4,0\n", CAVEAT)]),
+], ids=["table", "json", "csv"])
+def test_betti_both_agreeing(fmt, expected, tmp_path, capsys):
+    paths = ("k3", write_descriptor(tmp_path, NONCOMPACT))
+    for path, (out, err) in zip(paths, expected):
+        assert run_both(path, fmt, capsys) == (0, out, err), path
 
 
 def test_betti_both_json_reports_agreement(capsys):
@@ -205,17 +238,24 @@ def test_betti_both_json_reports_agreement(capsys):
     assert payload["exact"]["dims"] == payload["closed"]["dims"]
 
 
-def test_betti_both_disagreement_exits_three(capsys, monkeypatch):
+DISAGREE = "closed: 1 0 0 0 0 0 0 0 0\nmethods disagree\n"
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("table", [("", "exact:  1 0 23 0 276 0 23 0 1\n" + DISAGREE),
+               (CAVEAT, "exact:  1 1 0 0 0\n" + DISAGREE)]),
+    ("json", [(both_json(K3_HILB2, WRONG_HILB2), ""),
+              (both_json(NONCOMPACT_HILB2, WRONG_HILB2), CAVEAT)]),
+    ("csv", [("", "exact:  1 0 23 0 276 0 23 0 1\n" + DISAGREE),
+             ("", CAVEAT + "exact:  1 1 0 0 0\n" + DISAGREE)]),
+], ids=["table", "json", "csv"])
+def test_betti_both_disagreement_exits_three(fmt, expected, tmp_path, capsys,
+                                             monkeypatch):
     wrong = BettiTable("hilb2", 8, {0: 1})
     monkeypatch.setattr(cli.betti_mod, "betti_hilb2_closed", lambda d: wrong)
-    code, _, err = run(["betti", "k3", "--space", "hilb2", "--method", "both"],
-                       capsys)
-    assert code == 3
-    assert "disagree" in err
-    code, out, _ = run(["betti", "k3", "--space", "hilb2", "--method", "both",
-                        "--format", "json"], capsys)
-    assert code == 3
-    assert json.loads(out)["agree"] is False
+    paths = ("k3", write_descriptor(tmp_path, NONCOMPACT))
+    for path, (out, err) in zip(paths, expected):
+        assert run_both(path, fmt, capsys) == (3, out, err), path
 
 
 def test_betti_closed_needs_vanishing_bockstein(capsys):
@@ -389,23 +429,15 @@ def test_catalog_unknown_name(capsys):
 
 
 def test_catalog_dir_override(tmp_path, capsys, monkeypatch):
-    # a file named like a catalog entry shadows the built-in
+    # no environment variable redirects the catalog: a name means the
+    # built-in entry unless a file of that name is in the working directory
+    built_in = catalog_text("p2")
     obj = descriptor_obj(n=1, degrees=[0, 2], name="p2")
     (tmp_path / "p2.json").write_text(json.dumps(obj))
     monkeypatch.setenv("HILB2_CATALOG_DIR", str(tmp_path))
     code, out, _ = run(["betti", "p2", "--space", "hilb2"], capsys)
-    assert code == 0
-    assert out.strip() == "1 0 1 0 1"  # the n = 1 impostor, not the plane
-
-
-def test_non_utf8_catalog_override_exits_one(tmp_path, capsys, monkeypatch):
-    (tmp_path / "p2.json").write_bytes(b'{"name": "\xff"}')
-    monkeypatch.setenv("HILB2_CATALOG_DIR", str(tmp_path))
-    for argv in (["catalog", "show", "p2"], ["catalog", "export", "p2"],
-                 ["validate", "p2"]):
-        code, _, err = run(argv, capsys)
-        assert code == 1, argv
-        assert "is not UTF-8 text" in err, argv
+    assert (code, out) == (0, "1 0 2 0 3 0 2 0 1\n")
+    assert catalog_text("p2") == built_in
 
 
 def test_file_beats_catalog_name(tmp_path, capsys, monkeypatch):
