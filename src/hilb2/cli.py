@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import betti as betti_mod
 from . import exdiv, kernel, spaces, verify
@@ -191,15 +192,13 @@ def cmd_catalog(args) -> int:
         return 0
     # show
     d = spaces.load_descriptor(text)
-    row = spaces.betti_of_x(d).as_row()
     print(f"name: {d.name}")
     print(f"complex_dimension: {d.n}")
     print(f"compact: {str(d.compact).lower()}")
-    print(f"betti_x: {' '.join(str(v) for v in row)}")
+    print("betti_x:", *spaces.betti_of_x(d).as_row())
     print(f"sq1_zero: {str(is_sq1_zero(d.module)).lower()}")
-    print(f"two_torsion_free: {str(d.integral.two_torsion_free).lower()}")
-    print(f"torsion_free: {str(d.integral.torsion_free).lower()}")
-    print(f"even_degrees_only: {str(d.integral.even_degrees_only).lower()}")
+    for flag, value in asdict(d.integral).items():
+        print(f"{flag}: {str(value).lower()}")
     return 0
 
 

@@ -20,8 +20,8 @@ on basis classes; an absent pair means zero. The cup list, if present, is
 a complete symmetric product table over positive-degree classes (absent
 pairs multiply to zero; products with the unique degree-0 class are
 implicit). A class appears at most once in a to or result list. The
-integral flags describe the integral cohomology of X and default to false.
-Unknown and repeated keys are rejected everywhere.
+integral keys are the fields of IntegralFlags, facts about H*(X; Z) that
+default to false. Unknown and repeated keys are rejected everywhere.
 
 parse_descriptor keeps one map from class name to index, and class i is
 bit i of a mask. It stores the sq list as class index -> {k: mask}, with
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Mapping
 
 from . import gf2, steenrod
@@ -126,7 +126,10 @@ class BettiTable:
         return all(self.dim(self.top - k) == v for k, v in self.dims.items())
 
 
-def _expect_keys(obj: dict, required: dict, optional: dict, where: str) -> None:
+def _expect_keys(obj, required: dict, optional: dict, where: str,
+                 kind: str = "") -> None:
+    if kind and not isinstance(obj, dict):
+        raise DescriptorError(f"{kind} entries must be objects", where)
     for key in obj:
         if key not in required and key not in optional:
             raise DescriptorError(f"unknown key {key!r}", where)
@@ -182,9 +185,7 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     index: dict[str, int] = {}  # class name -> its bit in a mask
     for i, cls in enumerate(raw["classes"]):
         where = f"classes[{i}]"
-        if not isinstance(cls, dict):
-            raise DescriptorError("class entries must be objects", where)
-        _expect_keys(cls, {"name": str, "degree": int}, {}, where)
+        _expect_keys(cls, {"name": str, "degree": int}, {}, where, "class")
         name, degree = cls["name"], cls["degree"]
         if not name or not name.isascii():
             raise DescriptorError("class names must be nonempty ASCII", where)
@@ -210,9 +211,8 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     sq_seen: set[tuple[int, str]] = set()
     for i, entry in enumerate(raw.get("sq", [])):
         where = f"sq[{i}]"
-        if not isinstance(entry, dict):
-            raise DescriptorError("sq entries must be objects", where)
-        _expect_keys(entry, {"k": int, "from": str, "to": list}, {}, where)
+        _expect_keys(entry, {"k": int, "from": str, "to": list}, {}, where,
+                     "sq")
         k, src = entry["k"], entry["from"]
         if isinstance(k, bool) or k < 1:
             raise DescriptorError("'k' must be an integer >= 1", where)
@@ -227,42 +227,32 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
             sq.setdefault(index[src], {})[k] = mask
 
     unit = next((name for name, deg in basis if deg == 0), None)
-    cup: dict[tuple, int] | None = None
-    if "cup" in raw:
-        cup = {}
-        for i, entry in enumerate(raw["cup"]):
-            where = f"cup[{i}]"
-            if not isinstance(entry, dict):
-                raise DescriptorError("cup entries must be objects", where)
-            _expect_keys(entry, {"a": str, "b": str, "result": list}, {}, where)
-            a, b = entry["a"], entry["b"]
-            for name in (a, b):
-                if name not in index:
-                    raise DescriptorError(f"unknown class {name!r}", where)
-            if unit in (a, b):
-                raise DescriptorError(
-                    "products with the degree-0 class are implicit", where)
-            mask = mask_of(entry["result"], "result", where)
-            key = tuple(sorted((index[a], index[b])))
-            if key in cup:
-                pair = tuple(basis[j][0] for j in key)
-                raise DescriptorError(f"duplicate cup entry for {pair}", where)
-            cup[key] = mask
+    cup: dict[tuple, int] | None = {} if "cup" in raw else None
+    for i, entry in enumerate(raw.get("cup", [])):
+        where = f"cup[{i}]"
+        _expect_keys(entry, {"a": str, "b": str, "result": list}, {}, where,
+                     "cup")
+        a, b = entry["a"], entry["b"]
+        for name in (a, b):
+            if name not in index:
+                raise DescriptorError(f"unknown class {name!r}", where)
+        if unit in (a, b):
+            raise DescriptorError(
+                "products with the degree-0 class are implicit", where)
+        mask = mask_of(entry["result"], "result", where)
+        key = tuple(sorted((index[a], index[b])))
+        if key in cup:
+            pair = tuple(basis[j][0] for j in key)
+            raise DescriptorError(f"duplicate cup entry for {pair}", where)
+        cup[key] = mask
 
-    flags = IntegralFlags()
-    if "integral" in raw:
-        where = "integral"
-        _expect_keys(raw["integral"], {},
-                     {"two_torsion_free": bool, "torsion_free": bool,
-                      "even_degrees_only": bool}, where)
-        flags = IntegralFlags(
-            two_torsion_free=raw["integral"].get("two_torsion_free", False),
-            torsion_free=raw["integral"].get("torsion_free", False),
-            even_degrees_only=raw["integral"].get("even_degrees_only", False),
-        )
+    integral = raw.get("integral", {})
+    _expect_keys(integral, {}, {f.name: bool for f in fields(IntegralFlags)},
+                 "integral")
 
     module = UnstableModule(tuple(basis), sq, cup, 2 * n)
-    return ManifoldDescriptor(raw["name"], n, raw["compact"], module, flags)
+    return ManifoldDescriptor(raw["name"], n, raw["compact"], module,
+                              IntegralFlags(**integral))
 
 
 def descriptor_violations(d: ManifoldDescriptor) -> Report:
@@ -410,11 +400,7 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
         out["cup"] = [{"a": m.basis[i][0], "b": m.basis[j][0],
                        "result": m.names(mask)}
                       for (i, j), mask in sorted(m.cup.items())]
-    out["integral"] = {
-        "two_torsion_free": d.integral.two_torsion_free,
-        "torsion_free": d.integral.torsion_free,
-        "even_degrees_only": d.integral.even_degrees_only,
-    }
+    out["integral"] = asdict(d.integral)
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -85,9 +85,6 @@ class UnstableModule:
         unit = self.unit()
         return 0 if unit is None else 1 << self.index(unit)
 
-    def degree(self, name: str) -> int:
-        return self.basis[self.index(name)][1]
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -105,7 +102,8 @@ class UnstableModule:
         return next((name for name, deg in self.basis if deg == 0), None)
 
     def basis_vector(self, name: str) -> F2Vector:
-        return F2Vector(self.degree(name), 1 << self.index(name))
+        i = self.index(name)
+        return F2Vector(self.basis[i][1], 1 << i)
 
     def cup_product(self, v: int, w: int) -> int:
         """Bilinear extension of the stored table to masks.
@@ -221,10 +219,11 @@ def validate(m: UnstableModule) -> Report:
     for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
                              for k, mask in row.items()):
         u, du = m.basis[i]
-        for t in m.names(mask):
-            if m.degree(t) != du + k:
+        for j in _bits(mask):
+            t, dt = m.basis[j]
+            if dt != du + k:
                 rep.add("degree-shift", FAIL,
-                        f"Sq^{k} {u} contains {t} of degree {m.degree(t)}, "
+                        f"Sq^{k} {u} contains {t} of degree {dt}, "
                         f"expected degree {du + k}")
         if k > du:
             rep.add("instability", FAIL,
@@ -248,10 +247,11 @@ def validate(m: UnstableModule) -> Report:
                         f"{name} cup {name} = {_shown(m, right)}")
         for (ix, iy), product in sorted(m.cup.items()):
             (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
-            for t in m.names(product):
-                if m.degree(t) != dx + dy:
+            for j in _bits(product):
+                t, dt = m.basis[j]
+                if dt != dx + dy:
                     rep.add("degree-shift", FAIL,
-                            f"{x} cup {y} contains {t} of degree {m.degree(t)}, "
+                            f"{x} cup {y} contains {t} of degree {dt}, "
                             f"expected degree {dx + dy}")
             # Sq^i of the product and the Cartan sum, only in the degrees i
             # where a stored square makes one of them nonzero

@@ -258,6 +258,14 @@ def test_betti_both_disagreement_exits_three(fmt, expected, tmp_path, capsys,
         assert run_both(path, fmt, capsys) == (3, out, err), path
 
 
+def test_betti_negative_rank_exits_two(capsys, monkeypatch):
+    # a kernel larger than the table it maps from
+    monkeypatch.setattr(hilb2.kernel, "kernel_dimensions", lambda d: {0: 5})
+    assert run(["betti", "p2", "--space", "hilb2"], capsys) == (
+        2, "", "error: degree 1: image ranks 0 and -4; kernel dimensions "
+               "exceed the ambient table\n")
+
+
 def test_betti_closed_needs_vanishing_bockstein(capsys):
     code, _, err = run(
         ["betti", "enriques_x", "--space", "hilb2", "--method", "closed"],

@@ -16,6 +16,7 @@ from hilb2 import (
     from_base,
     hilb_restriction,
 )
+from hilb2.steenrod import UnknownClass
 from hilb2.gf2 import F2Vector
 
 
@@ -52,6 +53,13 @@ def test_boundary_of_unit_vanishes():
         d = catalog_get(name)
         one = d.module.basis_vector(d.module.unit())
         assert boundary_no_b(d, one).is_zero()
+
+
+def test_boundary_of_a_bit_outside_the_basis_raises():
+    d = catalog_get("p2")  # three classes
+    with pytest.raises(UnknownClass) as exc:
+        boundary_no_b(d, F2Vector(2, 1 << 3))
+    assert exc.value.args == ("bit 3 is not a basis class",)
 
 
 def test_boundary_no_b_on_odd_class_starts_with_base_term():

@@ -160,6 +160,35 @@ def test_integral_flags_parse_strictly():
         parse(obj)
 
 
+TWO_CLASSES = [{"name": "1", "degree": 0}, {"name": "h", "degree": 2}]
+
+# (change to a valid two-class descriptor, the exact str(DescriptorError))
+PARSER_MESSAGES = [
+    ({"sq": [1]}, "sq[0]: sq entries must be objects"),
+    ({"cup": ["h"]}, "cup[0]: cup entries must be objects"),
+    ({"classes": [3]}, "classes[0]: class entries must be objects"),
+    ({"name": ""}, "top level: 'name' must be nonempty"),
+    ({"cup": [{"a": "zz", "b": "h", "result": []}]},
+     "cup[0]: unknown class 'zz'"),
+    ({"integral": {"bogus": True}}, "integral: unknown key 'bogus'"),
+    ({"integral": {"torsion_free": 1}},
+     "integral: 'torsion_free' must be bool, got int"),
+    ({"integral": []}, "top level: 'integral' must be dict, got list"),
+    ({"sq": [{"k": 2, "from": "h"}]}, "sq[0]: missing key 'to'"),
+    ({"classes": [{"name": "1", "degree": 0, "x": 1}]},
+     "classes[0]: unknown key 'x'"),
+]
+
+
+@pytest.mark.parametrize("change,message", PARSER_MESSAGES,
+                         ids=[message for _, message in PARSER_MESSAGES])
+def test_parser_messages_are_exact(change, message):
+    obj = {**descriptor_obj(n=1, classes=TWO_CLASSES), **change}
+    with pytest.raises(DescriptorError) as exc:
+        parse(obj)
+    assert str(exc.value) == message
+
+
 def test_connectedness_enforced():
     with pytest.raises(InvalidDescriptor):
         make_descriptor(n=1, degrees=[0, 0, 2])

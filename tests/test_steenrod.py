@@ -83,6 +83,13 @@ def test_cup_product_of_a_bit_outside_the_basis_raises():
             m.cup_product(v, w)
 
 
+def test_cup_product_without_a_cup_table_raises():
+    m = catalog_get("k3").module  # k3 stores no cup table
+    with pytest.raises(ValueError) as exc:
+        m.cup_product(0b10, 0b10)
+    assert exc.value.args == ("module has no cup table",)
+
+
 def test_adem_small_expansions():
     assert adem_expand(1, 1) == []
     assert adem_expand(1, 2) == [(3, 0)]

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_descriptor
 from hilb2 import (
     BettiTable,
+    betti,
     betti_hilb2_exact,
     catalog_get,
     catalog_names,
@@ -22,6 +23,7 @@ from hilb2 import (
     spaces,
     steenrod,
 )
+from hilb2.report import FAIL
 
 
 def entry(rep, check):
@@ -89,6 +91,26 @@ def test_run_suite_statuses_enriques():
     assert statuses["known-answer"] == "note"
     assert statuses["duality"] == "pass"
     assert statuses["euler"] == "pass"
+
+
+def test_method_agreement_failure_quotes_both_rows(monkeypatch):
+    wrong = BettiTable("hilb2", 8, {0: 1, 8: 1})
+    monkeypatch.setattr(betti, "betti_hilb2_closed", lambda d: wrong)
+    e = entry(run_suite(catalog_get("p2")), "method-agreement")
+    assert (e.status, e.details) == (FAIL, {
+        "exact": [1, 0, 2, 0, 3, 0, 2, 0, 1],
+        "closed": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+    })
+
+
+def test_universal_coefficients_failure_quotes_both_rows(monkeypatch):
+    wrong = BettiTable("sym2", 8, {0: 1})
+    monkeypatch.setattr(betti, "betti_sym2_f2", lambda d: wrong)
+    e = entry(run_suite(catalog_get("p2")), "universal-coefficients")
+    assert (e.status, e.details) == (FAIL, {
+        "from_integral": {0: 1, 2: 1, 4: 2, 6: 2, 7: 1, 8: 1},
+        "mod2": {0: 1},
+    })
 
 
 def test_run_suite_rejects_samples_below_one():
