@@ -23,8 +23,10 @@ where the ambient group vanishes) give the zero class.
 
 The bit layout is this module's alone: other modules read a class on E
 through coefficient and leading_power. shifted_ladders lists the kernel
-generators e^j L_s(u) for 0 <= j <= n - 1 - s - t. Each ladder is computed
-once, at j = 0, and its e^j shifts are the same bits moved up j blocks of N.
+generators e^j L_s(u) for 0 <= j <= n - 1 - s - t, one list of shifts per
+ladder. Each ladder is computed once, at j = 0, and its e^j shifts are the
+same bits moved up j blocks of N. A class with no stored square needs no
+ladder computation at all: its only nonzero ladder is e^t u.
 """
 
 from __future__ import annotations
@@ -90,26 +92,33 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
 
 
 def shifted_ladders(d: ManifoldDescriptor
-                    ) -> Iterator[tuple[int, int, int, F2Vector]]:
-    """(i, s, j, e^j L_s(x_i)) for every basis class x_i in order, s inner,
-    j innermost, 0 <= j <= n - 1 - s - t; a zero ladder is skipped.
+                    ) -> Iterator[tuple[int, int, list[F2Vector]]]:
+    """(i, s, [e^j L_s(x_i) for 0 <= j <= n - 1 - s - t]) for every basis
+    class x_i in order, s inner; a zero ladder is skipped.
 
     s = 1 only when the module stores an odd square, since the odd-square
-    ladders read odd squares alone and are zero without one. The top
-    e-power of e^j L_s(x_i) stays below n, so no e^n carry can occur.
+    ladders read odd squares alone and are zero without one. A class with
+    no stored square row takes a direct path, without _ladder: only Sq^0
+    acts on it, so L_0(x_i) = e^t x_i (zero when t >= n) and L_1(x_i) = 0.
+    The top e-power of e^j L_s(x_i) stays below n, so no e^n carry can
+    occur.
     """
     m = d.module
-    width = len(m.basis)
+    n, width = d.n, len(m.basis)
     parities = (0, 1) if any(k % 2 for row in m.sq.values() for k in row) else (0,)
     for i, (_, deg) in enumerate(m.basis):
+        if i not in m.sq:
+            t = deg // 2
+            if t < n:
+                yield i, 0, [F2Vector(2 * t + deg + 2 * j, 1 << i + (t + j) * width)
+                             for j in range(n - t)]
+            continue
         u = F2Vector(deg, 1 << i)
         for s in parities:
             base = _ladder(d, u, s)
-            if base.is_zero():
-                continue
-            for j in range(d.n - s - (deg - s) // 2):
-                yield i, s, j, F2Vector(base.degree + 2 * j,
-                                        base.mask << j * width)
+            if base.mask:
+                yield i, s, [F2Vector(base.degree + 2 * j, base.mask << j * width)
+                             for j in range(n - s - (deg - s) // 2)]
 
 
 def boundary_no_b(d: ManifoldDescriptor, u: F2Vector) -> F2Vector:

@@ -15,15 +15,18 @@ terms e^(j+t) u. Families 3 and 4 are the odd-square ladders (s = 1) and
 vanish identically when Sq^1 = 0; they are computed only when the module
 stores some odd square.
 
-exdiv.shifted_ladders lists the generators; a ladder that collapses to zero
-contributes none, so every listed generator is nonzero.
+exdiv.shifted_ladders lists the generators, one list of e^j shifts per
+ladder, so the family and the class name are worked out once per ladder.
+A class with no stored square skips the ladder computation: its one
+nonzero ladder is e^t u. A ladder that collapses to zero contributes no
+generator, so every listed generator is nonzero.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exdiv, gf2, steenrod
 from .gf2 import F2Vector
@@ -31,8 +34,8 @@ from .report import FAIL, PASS, Report
 from .spaces import ManifoldDescriptor, once
 from .steenrod import Sq1NotZero
 
-@dataclass(frozen=True)
-class KernelGenerator:
+
+class KernelGenerator(NamedTuple):
     family: int  # 1..4
     source: str  # basis class u
     j: int  # e-power multiplying the ladder
@@ -53,8 +56,13 @@ def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     basis = d.module.basis
-    return [KernelGenerator(1 + basis[i][1] % 2 + 2 * s, basis[i][0], j, value)
-            for i, s, j, value in exdiv.shifted_ladders(d)]
+    out: list[KernelGenerator] = []
+    for i, s, shifts in exdiv.shifted_ladders(d):
+        name, deg = basis[i]
+        family = 1 + deg % 2 + 2 * s
+        out += [KernelGenerator(family, name, j, value)
+                for j, value in enumerate(shifts)]
+    return out
 
 
 def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
@@ -91,15 +99,19 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     Random F2-combinations of same-degree generators are tested; the report
     carries one summary entry, or one failure per counterexample found.
 
-    A sample draws a degree, then one getrandbits(32 * L) for its pool of L
+    A sample draws one of the D even degrees with
+    random.Random(seed).randrange(D), done inline the way randrange does
+    it: getrandbits(D.bit_length()), drawn again while it is D or more.
+    It then draws one getrandbits(32 * L) for that degree's pool of L
     generators: generator i is picked when bit 32i + 31 is set, which is
     the bit getrandbits(1) would return for word i, so the picks and the
-    state of the generator are those of L one-bit draws. The leading bits
-    of the nonzero elements of a pool's span are those of its echelon form
-    (gf2.pivots), so a degree can fail exactly when some pivot leads at an
-    e-power p with 2(k - p) > k. The e-power grows with the bit, so the
-    lowest pivot decides. Samples of the other degrees are only counted;
-    in a degree that can fail, each sample XORs its picks.
+    state of the generator are those of L one-bit draws. Both bit counts
+    and the pick mask of each degree are worked out before the loop. The
+    leading bits of the nonzero elements of a pool's span are those of its
+    echelon form (gf2.pivots), so a degree can fail exactly when some pivot
+    leads at an e-power p with 2(k - p) > k. The e-power grows with the
+    bit, so the lowest pivot decides. Samples of the other degrees are only
+    counted; in a degree that can fail, each sample XORs its picks.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -114,27 +126,35 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     if not by_degree:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
-    # degree -> (pool, mask of its pick bits, whether a sample there can fail)
-    plan = {}
-    for degree, pool in by_degree.items():
-        k = degree // 2
-        leads = gf2.pivots(g.value.mask for g in pool)
-        p_min = exdiv.leading_power(d, leads[min(leads)])
-        plan[degree] = (pool, int.from_bytes(b"\0\0\0\x80" * len(pool), "little"),
-                        2 * (k - p_min) > k)
-    rng = random.Random(seed)
     degrees = sorted(by_degree)
+    # per degree, in draw order: (bits of its pick word, mask of the pick bits)
+    steps = [(32 * len(by_degree[deg]),
+              int.from_bytes(b"\0\0\0\x80" * len(by_degree[deg]), "little"))
+             for deg in degrees]
+    fallible = set()  # draw indices of the degrees where a sample can fail
+    for r, degree in enumerate(degrees):
+        k = degree // 2
+        leads = gf2.pivots(g.value.mask for g in by_degree[degree])
+        if 2 * (k - exdiv.leading_power(d, leads[min(leads)])) > k:
+            fallible.add(r)
+    getrandbits = random.Random(seed).getrandbits
+    count = len(steps)
+    draw_bits = count.bit_length()
     tested = 0
     for _ in range(samples):
-        degree = degrees[rng.randrange(len(degrees))]
-        pool, tops, can_fail = plan[degree]
-        word = rng.getrandbits(32 * len(pool))
+        r = getrandbits(draw_bits)  # randrange(count)
+        while r >= count:
+            r = getrandbits(draw_bits)
+        bits, tops = steps[r]
+        word = getrandbits(bits)
         if not word & tops:
             continue
         tested += 1
-        if not can_fail:
+        if r not in fallible:
             continue
-        picked = [g for i, g in enumerate(pool) if word >> 32 * i + 31 & 1]
+        degree = degrees[r]
+        picked = [g for i, g in enumerate(by_degree[degree])
+                  if word >> 32 * i + 31 & 1]
         w = 0
         for g in picked:
             w ^= g.value.mask

@@ -181,47 +181,59 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         raise DescriptorError("'name' must be nonempty", "top level")
     n = raw["complex_dimension"]
 
+    # An entry that is an object with exactly the expected keys, each of
+    # exactly its JSON type (so no bool for an int), skips _expect_keys; its
+    # location string is built only when an error is raised.
     basis: list[tuple[str, int]] = []
     index: dict[str, int] = {}  # class name -> its bit in a mask
     for i, cls in enumerate(raw["classes"]):
-        where = f"classes[{i}]"
-        _expect_keys(cls, {"name": str, "degree": int}, {}, where, "class")
+        if not (type(cls) is dict and len(cls) == 2
+                and type(cls.get("name")) is str
+                and type(cls.get("degree")) is int):
+            _expect_keys(cls, {"name": str, "degree": int}, {},
+                         f"classes[{i}]", "class")
         name, degree = cls["name"], cls["degree"]
         if not name or not name.isascii():
-            raise DescriptorError("class names must be nonempty ASCII", where)
+            raise DescriptorError("class names must be nonempty ASCII",
+                                  f"classes[{i}]")
         if name in index:
-            raise DescriptorError(f"duplicate class name {name!r}", where)
+            raise DescriptorError(f"duplicate class name {name!r}",
+                                  f"classes[{i}]")
         if isinstance(degree, bool) or degree < 0:
-            raise DescriptorError("degree must be an integer >= 0", where)
+            raise DescriptorError("degree must be an integer >= 0",
+                                  f"classes[{i}]")
         index[name] = len(basis)
         basis.append((name, degree))
 
-    def mask_of(names: list, role: str, where: str) -> int:
+    def mask_of(names: list, role: str, kind: str, i: int) -> int:
         mask = 0
         for t in names:
             if not isinstance(t, str) or t not in index:
-                raise DescriptorError(f"unknown class {t!r}", where)
+                raise DescriptorError(f"unknown class {t!r}", f"{kind}[{i}]")
             bit = 1 << index[t]
             if mask & bit:
-                raise DescriptorError(f"repeated {role} {t!r}", where)
+                raise DescriptorError(f"repeated {role} {t!r}", f"{kind}[{i}]")
             mask |= bit
         return mask
 
     sq: dict[int, dict[int, int]] = {}
     sq_seen: set[tuple[int, str]] = set()
     for i, entry in enumerate(raw.get("sq", [])):
-        where = f"sq[{i}]"
-        _expect_keys(entry, {"k": int, "from": str, "to": list}, {}, where,
-                     "sq")
+        if not (type(entry) is dict and len(entry) == 3
+                and type(entry.get("k")) is int
+                and type(entry.get("from")) is str
+                and type(entry.get("to")) is list):
+            _expect_keys(entry, {"k": int, "from": str, "to": list}, {},
+                         f"sq[{i}]", "sq")
         k, src = entry["k"], entry["from"]
         if isinstance(k, bool) or k < 1:
-            raise DescriptorError("'k' must be an integer >= 1", where)
+            raise DescriptorError("'k' must be an integer >= 1", f"sq[{i}]")
         if src not in index:
-            raise DescriptorError(f"unknown class {src!r}", where)
-        mask = mask_of(entry["to"], "target", where)
+            raise DescriptorError(f"unknown class {src!r}", f"sq[{i}]")
+        mask = mask_of(entry["to"], "target", "sq", i)
         if (k, src) in sq_seen:
             raise DescriptorError(f"duplicate sq entry for k={k} from {src!r}",
-                                  where)
+                                  f"sq[{i}]")
         sq_seen.add((k, src))
         if mask:
             sq.setdefault(index[src], {})[k] = mask
@@ -229,21 +241,25 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     unit = next((name for name, deg in basis if deg == 0), None)
     cup: dict[tuple, int] | None = {} if "cup" in raw else None
     for i, entry in enumerate(raw.get("cup", [])):
-        where = f"cup[{i}]"
-        _expect_keys(entry, {"a": str, "b": str, "result": list}, {}, where,
-                     "cup")
+        if not (type(entry) is dict and len(entry) == 3
+                and type(entry.get("a")) is str
+                and type(entry.get("b")) is str
+                and type(entry.get("result")) is list):
+            _expect_keys(entry, {"a": str, "b": str, "result": list}, {},
+                         f"cup[{i}]", "cup")
         a, b = entry["a"], entry["b"]
         for name in (a, b):
             if name not in index:
-                raise DescriptorError(f"unknown class {name!r}", where)
+                raise DescriptorError(f"unknown class {name!r}", f"cup[{i}]")
         if unit in (a, b):
             raise DescriptorError(
-                "products with the degree-0 class are implicit", where)
-        mask = mask_of(entry["result"], "result", where)
+                "products with the degree-0 class are implicit", f"cup[{i}]")
+        mask = mask_of(entry["result"], "result", "cup", i)
         key = tuple(sorted((index[a], index[b])))
         if key in cup:
             pair = tuple(basis[j][0] for j in key)
-            raise DescriptorError(f"duplicate cup entry for {pair}", where)
+            raise DescriptorError(f"duplicate cup entry for {pair}",
+                                  f"cup[{i}]")
         cup[key] = mask
 
     integral = raw.get("integral", {})

@@ -5,27 +5,36 @@ set bit, one sq() call per ladder term, every e^j generator by repeated
 e_multiply (zero ladders listed too), and a corollary sample that draws one
 getrandbits(1) per generator and sums the masks of every picked one. The
 library reads the stored squares once, skips the odd-square ladders when no
-odd square is stored, shifts each ladder's bits, pivots on leading bits,
-draws a sample's picks in one call and sums masks only in degrees whose
-echelon form has a pivot that can fail; on random Sq tables, Sq^1 != 0
-included, and on planted generator pools, both must give the same answers.
+odd square is stored, builds the ladder of a class without a stored square
+directly, shifts each ladder's bits, pivots on leading bits, draws a
+sample's degree inline and its picks in one call, and sums masks only in
+degrees whose echelon form has a pivot that can fail; on random Sq tables,
+Sq^1 != 0 included, on planted generator pools and on the benchmark's
+input ladders, both must give the same answers.
 """
 
 import json
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OutOfRange, e_multiply
+import hilb2
 from hilb2 import (catalog_get, catalog_text, corollary_check, exdiv, kernel,
-                   kernel_dimensions, kernel_generators)
+                   kernel_dimensions, kernel_generators, load_descriptor)
 from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
 from hilb2.report import FAIL, PASS, Report
 from hilb2.spaces import parse_descriptor
 from hilb2.steenrod import sq
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import workloads  # noqa: E402  (the benchmark's deep and wide input ladders)
 
 
 def rank_by_lowest_bit(rows):
@@ -292,6 +301,47 @@ def test_one_wide_draw_equals_one_bit_draws(seed, size, warm):
     assert wide.getstate() == narrow.getstate()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1 << 32), count=st.integers(1, 700),
+       warm=st.integers(0, 32 * 700), draws=st.integers(1, 20))
+def test_inline_degree_draw_equals_randrange(seed, count, warm, draws):
+    # corollary_check draws its degree index as getrandbits(k), k the bit
+    # length of count, again while the draw is count or more; this is what
+    # randrange(count) returns, and it leaves the generator in the same state
+    inline, library = random.Random(seed), random.Random(seed)
+    inline.getrandbits(warm)
+    library.getrandbits(warm)
+    k = count.bit_length()
+    got = []
+    for _ in range(draws):
+        r = inline.getrandbits(k)
+        while r >= count:
+            r = inline.getrandbits(k)
+        got.append(r)
+    assert got == [library.randrange(count) for _ in range(draws)]
+    assert inline.getstate() == library.getstate()
+
+
+def test_corollary_matches_the_reference_on_the_benchmark_ladders(tmp_path):
+    # the deep and wide rungs reach pools that the catalog does not: up to
+    # 60 even degrees, and over 100 generators in one input
+    most_degrees = most_generators = 0
+    for workload in ("deep", "wide"):
+        ladder, _ = workloads.build(workload, hilb2, 0, str(tmp_path))
+        for desc in ladder:
+            d = load_descriptor(json.dumps(desc))
+            gens = kernel_generators(d)
+            even = {g.value.degree for g in gens if g.value.degree % 2 == 0}
+            most_degrees = max(most_degrees, len(even))
+            most_generators = max(most_generators, len(gens))
+            for seed in range(3):
+                for samples in (1, 37, 400):
+                    got = corollary_check(d, samples=samples, seed=seed)
+                    want = corollary_by_xor(d, gens, samples, seed)
+                    assert got.entries == want.entries, (desc["name"], seed)
+    assert most_degrees >= 60 and most_generators > 100
+
+
 def test_corollary_counts_without_summing_where_no_lead_can_fail():
     # on p3 (N = 4, n = 3) a degree-2k sample fails iff it leads at an
     # e-power p with 2(k - p) > k
@@ -331,8 +381,12 @@ def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
         for e in got.failures)
 
 
-@pytest.mark.parametrize("name, per_class", [("k3", 1), ("enriques_x", 2)])
-def test_odd_square_ladders_only_where_an_odd_square_is_stored(name, per_class):
+@pytest.mark.parametrize("name, parities", [("k3", 1), ("enriques_x", 2)])
+def test_odd_square_ladders_only_where_an_odd_square_is_stored(name, parities):
+    # one _ladder call per square parity built for each class with a stored
+    # square row; every other class takes the direct path. k3 stores no
+    # square (0 calls); enriques_x stores rows for two classes, an odd
+    # square among them, so both parities are built (4 calls)
     d = parse_descriptor(catalog_text(name))
     calls, summed = [], []
     ladder, squares_of = exdiv._ladder, exdiv.steenrod._squares_of
@@ -349,7 +403,9 @@ def test_odd_square_ladders_only_where_an_odd_square_is_stored(name, per_class):
         mp.setattr(exdiv, "_ladder", ladder_and_count)
         mp.setattr(exdiv.steenrod, "_squares_of", squares_of_and_count)
         kernel_generators(d)
-    assert len(calls) == per_class * len(d.module.basis)
+    assert sorted(u.mask.bit_length() - 1 for u in calls) == sorted(
+        list(d.module.sq) * parities)
+    assert len(calls) == {"k3": 0, "enriques_x": 4}[name]
     # each ladder is of one basis class, whose stored row is read in place
     assert summed == []
 
