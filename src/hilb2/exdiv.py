@@ -170,18 +170,18 @@ def format_exclass(d: ManifoldDescriptor, c: F2Vector) -> str:
     """
     if c.is_zero():
         return "0"
-    unit = d.module.unit()
     width = len(d.module.basis)
     parts = []
     rest = c.mask
     while rest:  # visit only the nonzero e-powers, highest first
         j = leading_power(d, rest)
         rest &= (1 << j * width) - 1
-        names = sorted(d.module.names(coefficient(d, c, j).mask))
+        coeff = coefficient(d, c, j).mask
         e_part = "" if j == 0 else ("e" if j == 1 else f"e^{j}")
-        if names == [unit] and j > 0:
+        if coeff == d.module._unit_bit and j > 0:
             parts.append(e_part)
             continue
+        names = sorted(d.module.names(coeff))
         body = names[0] if len(names) == 1 else "(" + "+".join(names) + ")"
         parts.append(f"{e_part}*{body}" if e_part else body)
     return " + ".join(parts)

@@ -23,11 +23,12 @@ implicit). A class appears at most once in a to or result list. The
 integral keys are the fields of IntegralFlags, facts about H*(X; Z) that
 default to false. Unknown and repeated keys are rejected everywhere.
 
-parse_descriptor keeps one map from class name to index, and class i is
-bit i of a mask. It stores the sq list as class index -> {k: mask}, with
-nonzero masks only, and the cup list as (i, j) with i <= j -> mask; see
-steenrod.UnstableModule. Reports and exports name the classes of a mask
-in basis order.
+parse_descriptor is the name edge on the way in. It maps each class name
+to its index, class i being bit i of a mask, and stores the sq list as
+class index -> {k: mask} (nonzero masks only) and the cup list as (i, j)
+with i <= j -> mask; see steenrod.UnstableModule. The checks read classes,
+the unit and top classes included, by index; only messages and exports
+name the classes of a mask, in basis order.
 
 load_descriptor returns a fully validated descriptor or raises:
 DescriptorError (with a location) for structural problems, InvalidDescriptor
@@ -186,6 +187,7 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
     # location string is built only when an error is raised.
     basis: list[tuple[str, int]] = []
     index: dict[str, int] = {}  # class name -> its bit in a mask
+    unit = None  # index of the first degree-0 class
     for i, cls in enumerate(raw["classes"]):
         if not (type(cls) is dict and len(cls) == 2
                 and type(cls.get("name")) is str
@@ -202,6 +204,8 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         if isinstance(degree, bool) or degree < 0:
             raise DescriptorError("degree must be an integer >= 0",
                                   f"classes[{i}]")
+        if degree == 0 and unit is None:
+            unit = len(basis)
         index[name] = len(basis)
         basis.append((name, degree))
 
@@ -238,7 +242,6 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         if mask:
             sq.setdefault(index[src], {})[k] = mask
 
-    unit = next((name for name, deg in basis if deg == 0), None)
     cup: dict[tuple, int] | None = {} if "cup" in raw else None
     for i, entry in enumerate(raw.get("cup", [])):
         if not (type(entry) is dict and len(entry) == 3
@@ -251,11 +254,11 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         for name in (a, b):
             if name not in index:
                 raise DescriptorError(f"unknown class {name!r}", f"cup[{i}]")
-        if unit in (a, b):
+        key = tuple(sorted((index[a], index[b])))
+        if unit in key:
             raise DescriptorError(
                 "products with the degree-0 class are implicit", f"cup[{i}]")
         mask = mask_of(entry["result"], "result", "cup", i)
-        key = tuple(sorted((index[a], index[b])))
         if key in cup:
             pair = tuple(basis[j][0] for j in key)
             raise DescriptorError(f"duplicate cup entry for {pair}",
@@ -281,29 +284,25 @@ def descriptor_violations(d: ManifoldDescriptor) -> Report:
 
 def _violations(d: ManifoldDescriptor) -> Report:
     rep = steenrod.validate(d.module)
-    m = d.module
-    units = m.classes_in_degree(0)
-    if len(units) != 1:
+    m, counts, top = d.module, _degree_counts(d), 2 * d.n
+    if counts[0] != 1:
         rep.add("connectedness", FAIL,
-                f"expected exactly one degree-0 class, found {len(units)}")
-    in_range = True
+                f"expected exactly one degree-0 class, found {counts[0]}")
     for name, deg in m.basis:
-        if deg > 2 * d.n:
-            in_range = False
+        if deg > top:
             rep.add("degree-range", FAIL,
-                    f"class {name!r} has degree {deg} above 2n = {2 * d.n}")
-        elif deg == 2 * d.n and not d.compact:
+                    f"class {name!r} has degree {deg} above 2n = {top}")
+        elif deg == top and not d.compact:
             rep.add("degree-range", FAIL,
                     f"class {name!r} has degree 2n = {deg}, but H^{deg} of a "
                     "connected noncompact manifold of real dimension "
                     f"{deg} vanishes")
     if d.compact:
-        tops = m.classes_in_degree(2 * d.n)
-        if len(tops) != 1:
+        if counts[top] != 1:
             rep.add("compactness-symmetry", FAIL,
-                    f"compact descriptor needs exactly one class in degree {2 * d.n}")
+                    f"compact descriptor needs exactly one class in degree {top}")
         # the row of X has no place for a class above 2n
-        table = betti_of_x(d) if in_range else None
+        table = betti_of_x(d) if max(counts, default=0) <= top else None
         if table is not None and not table.is_palindromic():
             rep.add("compactness-symmetry", FAIL,
                     f"mod-2 Betti numbers {table.as_row()} are not palindromic")
@@ -311,7 +310,7 @@ def _violations(d: ManifoldDescriptor) -> Report:
         # vanishes on a closed complex manifold (it is orientable)
         for i in sorted(i for i, row in m.sq.items() if 1 in row):
             name, deg = m.basis[i]
-            if deg == 2 * d.n - 1:
+            if deg == top - 1:
                 rep.add("orientability", FAIL,
                         f"Sq^1 {name} is nonzero, but Sq^1 on H^{deg} is the "
                         "cup product with w_1, which vanishes on a closed "
@@ -319,9 +318,10 @@ def _violations(d: ManifoldDescriptor) -> Report:
         if table is not None:
             _check_sq1_self_adjoint(d, rep)
             # the pairing is read against the one unit and the one top class
-            if (m.cup is not None and len(units) == len(tops) == 1
+            if (m.cup is not None and counts[0] == counts[top] == 1
                     and table.is_palindromic()):
-                _check_cup_pairing(d, table, rep)
+                t = next(i for i, (_, deg) in enumerate(m.basis) if deg == top)
+                _check_cup_pairing(d, table, m._unit_bit.bit_length() - 1, t, rep)
     flags = d.integral
     if flags.torsion_free and not flags.two_torsion_free:
         rep.add("torsion-flags", FAIL,
@@ -330,11 +330,12 @@ def _violations(d: ManifoldDescriptor) -> Report:
     if flags.two_torsion_free and not steenrod.is_sq1_zero(m):
         rep.add("torsion-flags", FAIL,
                 "two_torsion_free requires Sq^1 = 0, but Sq^1 is nonzero")
-    odd = [name for name, deg in m.basis if deg % 2]
-    if flags.torsion_free and flags.even_degrees_only and odd:
-        rep.add("torsion-flags", FAIL,
-                "torsion_free with even_degrees_only rules out classes of odd "
-                f"degree, but {len(odd)} are given, the first {odd[0]!r}")
+    if flags.torsion_free and flags.even_degrees_only:
+        odd = [name for name, deg in m.basis if deg % 2]
+        if odd:
+            rep.add("torsion-flags", FAIL,
+                    "torsion_free with even_degrees_only rules out classes of "
+                    f"odd degree, but {len(odd)} are given, the first {odd[0]!r}")
     return rep
 
 
@@ -355,13 +356,12 @@ def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
                     f"is {high}; on a closed orientable manifold they agree")
 
 
-def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable,
-                       rep: Report) -> None:
-    """Poincare duality: for every k the pairing H^k x H^(2n-k) -> H^2n is
-    nondegenerate, so the rows of pairings of the classes of degree k have
-    rank b_k. Only the stored cup entries into the top degree are read."""
+def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable, u: int,
+                       t: int, rep: Report) -> None:
+    """Poincare duality: each pairing H^k x H^(2n-k) -> H^2n is nondegenerate,
+    so the rows of pairings of the classes of degree k have rank b_k. u and
+    t index the unit and the top class; only cup entries into t are read."""
     m, top = d.module, 2 * d.n
-    u, t = m.index(m.unit()), m.index(m.classes_in_degree(top)[0])
     # class index -> mask of the classes it pairs to the top class with
     pairs = {u: 1 << t, t: 1 << u}
     for (i, j), mask in m.cup.items():

@@ -13,20 +13,23 @@ Class i of the basis is bit i of an int mask, and a vector is the mask of
 its classes. The square and cup tables are keyed by class index, and each
 stored row is the mask of Sq^k of a basis class or of the product of two
 basis classes. Sq^0 and products with the unit are implicit, so a class
-with no stored square or product has no row.
+with no stored square or product has no row. The unit, the first degree-0
+class, is read by its bit too. Names appear only at the edges:
+basis_vector(name) reads one, and names(mask) and unit() print them.
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
 symmetric multiplication table: pairs that are not stored multiply to zero
 (every product landing above the top degree vanishes regardless).
 
-Validation cost follows the stored squares and cup entries, not (2n)^3 or
-the basis size. The square rule and Adem checks visit only the classes with
-a stored row. The Cartan check of a cup entry x cup y forms products only
-for pairs of nonzero squares of x and y, and compares the two sides only in
-the degrees where a stored square makes one of them nonzero. The Adem check
-on a class u tries only the relations Sq^a Sq^b u in which some nonzero
-Sq^x Sq^y u appears.
+Validation visits only the stored squares and cup entries, not (2n)^3 or
+the basis; but a stored mask that holds class i is i + 1 bits wide, so the
+cost of one entry grows with the basis size. The square rule and Adem
+checks visit only the classes with a stored row. The Cartan check of a cup
+entry x cup y forms products only for pairs of nonzero squares of x and y,
+and compares the two sides only in the degrees where a stored square makes
+one of them nonzero. The Adem check on a class u tries only the relations
+Sq^a Sq^b u in which some nonzero Sq^x Sq^y u appears.
 """
 
 from __future__ import annotations
@@ -82,27 +85,22 @@ class UnstableModule:
 
     @cached_property
     def _unit_bit(self) -> int:
-        unit = self.unit()
-        return 0 if unit is None else 1 << self.index(unit)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise UnknownClass(name) from None
+        """The bit of the first degree-0 class, or 0 when there is none."""
+        return next((1 << i for i, (_, deg) in enumerate(self.basis)
+                     if deg == 0), 0)
 
     def names(self, mask: int) -> tuple:
         """The basis classes of a mask, in declaration order."""
         return tuple(self.basis[i][0] for i in _bits(mask))
 
-    def classes_in_degree(self, d: int) -> tuple:
-        return tuple(name for name, deg in self.basis if deg == d)
-
     def unit(self) -> str | None:
-        return next((name for name, deg in self.basis if deg == 0), None)
+        return next(iter(self.names(self._unit_bit)), None)
 
     def basis_vector(self, name: str) -> F2Vector:
-        i = self.index(name)
+        try:
+            i = self._index[name]
+        except KeyError:
+            raise UnknownClass(name) from None
         return F2Vector(self.basis[i][1], 1 << i)
 
     def cup_product(self, v: int, w: int) -> int:

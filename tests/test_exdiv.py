@@ -1,5 +1,6 @@
 """Classes on the exceptional divisor and the boundary ladders."""
 
+import json
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from hilb2 import (
     boundary_with_b,
     catalog_get,
     catalog_names,
+    catalog_text,
     coefficient,
     format_exclass,
     from_base,
     hilb_restriction,
+    load_descriptor,
 )
 from hilb2.steenrod import UnknownClass
 from hilb2.gf2 import F2Vector
@@ -101,7 +104,7 @@ def test_boundary_with_b_even_ladder_on_projective_plane():
 def test_boundary_maps_are_additive():
     d = catalog_get("enriques_x")
     rng = random.Random(5)
-    degree2 = d.module.classes_in_degree(2)
+    degree2 = [name for name, deg in d.module.basis if deg == 2]
     for _ in range(20):
         u, v = (sum((d.module.basis_vector(n) for n in degree2
                      if rng.random() < 0.5), F2Vector(2))
@@ -132,7 +135,7 @@ def test_top_degree_ladder_vanishes():
     # group H^(4n) of the (4n-2)-manifold E
     for name in catalog_names():
         d = catalog_get(name)
-        top = d.module.classes_in_degree(2 * d.n)[0]
+        top = next(name for name, deg in d.module.basis if deg == 2 * d.n)
         assert boundary_with_b(d, d.module.basis_vector(top)).is_zero()
 
 
@@ -175,6 +178,15 @@ def test_format_exclass_examples():
     assert format_exclass(d, ladder) == "e*h + h2"
     unit_term = e_multiply(d, from_base(d, d.module.basis_vector("1")))
     assert format_exclass(d, unit_term) == "e"
+    # the unit is found by its degree, not by its place in the basis
+    obj = json.loads(catalog_text("p2"))
+    obj["classes"].reverse()
+    rev = load_descriptor(json.dumps(obj))
+    assert [name for name, _ in rev.module.basis] == ["h2", "h", "1"]
+    one, h = rev.module.basis_vector("1"), rev.module.basis_vector("h")
+    assert format_exclass(rev, e_multiply(rev, one)) == "e"
+    assert format_exclass(rev, e_multiply(rev, one) + h) == "e + h"
+    assert format_exclass(rev, boundary_with_b(rev, h)) == "e*h + h2"
 
 
 def test_exclass_zero_equality_across_degrees():

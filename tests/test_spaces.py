@@ -11,6 +11,7 @@ from hilb2 import (
     BettiTable,
     DescriptorError,
     InvalidDescriptor,
+    betti_hilb2_exact,
     betti_of_x,
     catalog_get,
     catalog_names,
@@ -19,6 +20,7 @@ from hilb2 import (
     gf2,
     load_descriptor,
     parse_descriptor,
+    run_suite,
 )
 from hilb2.steenrod import UnstableModule
 
@@ -132,10 +134,19 @@ def test_empty_sq_targets_normalize_to_absent():
 
 
 def test_cup_with_unit_operand_rejected():
-    obj = descriptor_obj(n=1, degrees=[0, 2],
-                         cup=[{"a": "c0", "b": "c1", "result": ["c1"]}])
-    with pytest.raises(DescriptorError):
-        parse(obj)
+    # the unit is the first degree-0 class, wherever it is declared
+    for degrees, a, b in (([0, 2], "c0", "c1"), ([2, 0], "c0", "c1"),
+                          ([2, 0], "c1", "c1")):
+        obj = descriptor_obj(n=1, degrees=degrees,
+                             cup=[{"a": a, "b": b, "result": ["c0"]}])
+        with pytest.raises(DescriptorError) as exc:
+            parse(obj)
+        assert str(exc.value) == \
+            "cup[0]: products with the degree-0 class are implicit"
+    # a second degree-0 class is no unit; connectedness rejects it on load
+    obj = descriptor_obj(n=1, degrees=[0, 0, 2],
+                         cup=[{"a": "c1", "b": "c2", "result": []}])
+    assert parse(obj).module.cup == {(1, 2): 0}
 
 
 def test_cup_duplicate_under_reordering_rejected():
@@ -271,6 +282,19 @@ def test_the_sq_table_is_stored_once_by_class_index():
     assert catalog_get("enriques_x").module.sq == {1: {1: 1 << 2},
                                                    3: {1: 1 << 14}}
     assert not hasattr(UnstableModule, "_squares")
+
+
+def test_names_stay_at_the_edges():
+    # loading, the suite and the exact row read classes by index only; the
+    # name -> index map is built by basis_vector, for callers that hold names
+    p2xp3 = inputs.product(inputs.projective(2), inputs.projective(3))
+    for d in (catalog_get("p3"), load_descriptor(json.dumps(p2xp3))):
+        assert d.module.cup
+        assert run_suite(d).ok
+        betti_hilb2_exact(d)
+        assert "_index" not in vars(d.module)
+        d.module.basis_vector(d.module.basis[-1][0])
+        assert "_index" in vars(d.module)
 
 
 def test_betti_of_x_counts_by_degree():
