@@ -143,11 +143,10 @@ def cmd_kernel(args) -> int:
         print(" ".join(f"{k}:{v}" for k, v in sorted(dims.items())))
     if args.generators:
         for g in kernel.kernel_generators(d):
-            if args.degree is not None and g.value.degree != args.degree:
+            if args.degree is not None and g.degree != args.degree:
                 continue
-            rendered = exdiv.format_exclass(d, g.value)
-            print(f"degree {g.value.degree}: family {g.family}, "
-                  f"u={g.source}, j={g.j}: {rendered}")
+            print(f"degree {g.degree}: family {g.family}, u={g.source}, "
+                  f"j={g.j}: {exdiv.format_exclass(d, g.value)}")
     return 0
 
 

@@ -23,10 +23,11 @@ where the ambient group vanishes) give the zero class.
 
 The bit layout is this module's alone: other modules read a class on E
 through coefficient and leading_power. shifted_ladders lists the kernel
-generators e^j L_s(u) for 0 <= j <= n - 1 - s - t, one list of shifts per
-ladder. Each ladder is computed once, at j = 0, and its e^j shifts are the
-same bits moved up j blocks of N. A class with no stored square needs no
-ladder computation at all: its only nonzero ladder is e^t u.
+generators e^j L_s(u) for 0 <= j <= n - 1 - s - t as plain (degree, mask)
+pairs, one list of shifts per ladder. Each ladder is computed once, at
+j = 0, and its e^j shifts are the same bits moved up j blocks of N. A
+class with no stored square needs no ladder computation at all: its only
+nonzero ladder is e^t u.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
 
 
 def shifted_ladders(d: ManifoldDescriptor
-                    ) -> Iterator[tuple[int, int, list[F2Vector]]]:
+                    ) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
     """(i, s, [e^j L_s(x_i) for 0 <= j <= n - 1 - s - t]) for every basis
-    class x_i in order, s inner; a zero ladder is skipped.
+    class x_i in order, s inner; a zero ladder is skipped. Each shift is a
+    plain (degree, mask) pair in this module's bit layout, not an F2Vector.
 
     s = 1 only when the module stores an odd square, since the odd-square
     ladders read odd squares alone and are zero without one. A class with
@@ -110,14 +112,14 @@ def shifted_ladders(d: ManifoldDescriptor
         if i not in m.sq:
             t = deg // 2
             if t < n:
-                yield i, 0, [F2Vector(2 * t + deg + 2 * j, 1 << i + (t + j) * width)
+                yield i, 0, [(2 * t + deg + 2 * j, 1 << i + (t + j) * width)
                              for j in range(n - t)]
             continue
         u = F2Vector(deg, 1 << i)
         for s in parities:
             base = _ladder(d, u, s)
             if base.mask:
-                yield i, s, [F2Vector(base.degree + 2 * j, base.mask << j * width)
+                yield i, s, [(base.degree + 2 * j, base.mask << j * width)
                              for j in range(n - s - (deg - s) // 2)]
 
 

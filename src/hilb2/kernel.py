@@ -15,17 +15,22 @@ terms e^(j+t) u. Families 3 and 4 are the odd-square ladders (s = 1) and
 vanish identically when Sq^1 = 0; they are computed only when the module
 stores some odd square.
 
-exdiv.shifted_ladders lists the generators, one list of e^j shifts per
-ladder, so the family and the class name are worked out once per ladder.
-A class with no stored square skips the ladder computation: its one
-nonzero ladder is e^t u. A ladder that collapses to zero contributes no
-generator, so every listed generator is nonzero.
+exdiv.shifted_ladders lists the generators as (degree, mask) pairs, one
+list of e^j shifts per ladder, so the family and the class name are worked
+out once per ladder, and each generator is one KernelGenerator tuple. A
+class with no stored square skips the ladder computation: its one nonzero
+ladder is e^t u. A ladder that collapses to zero contributes no generator,
+so every listed generator is nonzero.
+
+The generators of each degree are brought to echelon form once per
+descriptor (_build_pools). That one table gives kernel_dimensions its
+ranks, redundant_degrees its counts and corollary_check its even-degree
+pools and their lowest pivots.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import NamedTuple
 
 from . import exdiv, gf2, steenrod
@@ -39,11 +44,24 @@ class KernelGenerator(NamedTuple):
     family: int  # 1..4
     source: str  # basis class u
     j: int  # e-power multiplying the ladder
-    value: F2Vector  # a class on E, in exdiv's bit layout
+    degree: int  # degree of the class on E
+    mask: int  # the class on E, in exdiv's bit layout
+
+    @property
+    def value(self) -> F2Vector:
+        """The generator as a class on E, for printing."""
+        return F2Vector(self.degree, self.mask)
 
     @property
     def is_zero(self) -> bool:
-        return self.value.is_zero()
+        return not self.mask
+
+
+class _Pool(NamedTuple):
+    """The generators of one degree, in list order, and their echelon form."""
+    gens: list[KernelGenerator]
+    rank: int
+    low: int  # the pivot with the lowest leading bit; 0 when the rank is 0
 
 
 def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
@@ -57,12 +75,33 @@ def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     basis = d.module.basis
     out: list[KernelGenerator] = []
+    add = out.append
+    new = tuple.__new__  # KernelGenerator(...) without its Python-level __new__
     for i, s, shifts in exdiv.shifted_ladders(d):
         name, deg = basis[i]
         family = 1 + deg % 2 + 2 * s
-        out += [KernelGenerator(family, name, j, value)
-                for j, value in enumerate(shifts)]
+        for j, (degree, mask) in enumerate(shifts):
+            add(new(KernelGenerator, (family, name, j, degree, mask)))
     return out
+
+
+def _pools(d: ManifoldDescriptor, gens: list[KernelGenerator]
+           ) -> dict[int, _Pool]:
+    """degree -> _Pool, degrees ascending, built once per descriptor from
+    gens, the list kernel_generators(d) returned."""
+    return once(d, "kernel_pools", lambda: _build_pools(gens))
+
+
+def _build_pools(gens: list[KernelGenerator]) -> dict[int, _Pool]:
+    by_degree: dict[int, list[KernelGenerator]] = {}
+    for g in gens:
+        by_degree.setdefault(g.degree, []).append(g)
+    pools = {}
+    for degree in sorted(by_degree):
+        leads = gf2.pivots([g.mask for g in by_degree[degree]])
+        pools[degree] = _Pool(by_degree[degree], len(leads),
+                              leads[min(leads)] if leads else 0)
+    return pools
 
 
 def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
@@ -74,18 +113,16 @@ def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
     >>> kernel_dimensions(catalog_get("enriques_x"))
     {0: 1, 1: 1, 2: 2, 3: 2, 4: 12, 5: 1}
     """
-    gens = kernel_generators(d)
-    dims = once(d, "kernel_dimensions", lambda: gf2.span_dims_by_degree(
-        (g.value.degree, g.value.mask) for g in gens))
-    return dict(dims)
+    pools = _pools(d, kernel_generators(d))
+    return {deg: p.rank for deg, p in pools.items() if p.rank}
 
 
 def redundant_degrees(d: ManifoldDescriptor) -> dict[int, tuple[int, int]]:
     """Degrees where the four families overlap: degree -> (count, dimension)."""
-    counts = Counter(g.value.degree for g in kernel_generators(d))
+    pools = _pools(d, kernel_generators(d))
     dims = kernel_dimensions(d)
-    return {deg: (counts[deg], dims[deg]) for deg in sorted(counts)
-            if counts[deg] != dims[deg]}
+    return {deg: (len(p.gens), dims[deg]) for deg, p in pools.items()
+            if len(p.gens) != dims[deg]}
 
 
 def corollary_check(d: ManifoldDescriptor, samples: int = 200,
@@ -108,34 +145,32 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     state of the generator are those of L one-bit draws. Both bit counts
     and the pick mask of each degree are worked out before the loop. The
     leading bits of the nonzero elements of a pool's span are those of its
-    echelon form (gf2.pivots), so a degree can fail exactly when some pivot
-    leads at an e-power p with 2(k - p) > k. The e-power grows with the
-    bit, so the lowest pivot decides. Samples of the other degrees are only
-    counted; in a degree that can fail, each sample XORs its picks.
+    echelon form, which _build_pools has already found, so a degree can
+    fail exactly when some pivot leads at an e-power p with 2(k - p) > k.
+    The e-power grows with the bit, so the lowest pivot decides. Samples of
+    the other degrees are only counted; in a degree that can fail, each
+    sample XORs its picks.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(
             f"{d.name}: the divisibility corollary assumes Sq^1 = 0")
-    by_degree: dict[int, list[KernelGenerator]] = {}
-    for g in kernel_generators(d):
-        if g.value.degree % 2 == 0:
-            by_degree.setdefault(g.value.degree, []).append(g)
+    pools = {deg: p for deg, p in _pools(d, kernel_generators(d)).items()
+             if deg % 2 == 0}
     rep = Report()
-    if not by_degree:
+    if not pools:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
-    degrees = sorted(by_degree)
+    degrees = list(pools)
     # per degree, in draw order: (bits of its pick word, mask of the pick bits)
-    steps = [(32 * len(by_degree[deg]),
-              int.from_bytes(b"\0\0\0\x80" * len(by_degree[deg]), "little"))
-             for deg in degrees]
+    steps = [(32 * len(p.gens),
+              int.from_bytes(b"\0\0\0\x80" * len(p.gens), "little"))
+             for p in pools.values()]
     fallible = set()  # draw indices of the degrees where a sample can fail
-    for r, degree in enumerate(degrees):
+    for r, (degree, p) in enumerate(pools.items()):
         k = degree // 2
-        leads = gf2.pivots(g.value.mask for g in by_degree[degree])
-        if 2 * (k - exdiv.leading_power(d, leads[min(leads)])) > k:
+        if 2 * (k - exdiv.leading_power(d, p.low)) > k:
             fallible.add(r)
     getrandbits = random.Random(seed).getrandbits
     count = len(steps)
@@ -153,11 +188,11 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
         if r not in fallible:
             continue
         degree = degrees[r]
-        picked = [g for i, g in enumerate(by_degree[degree])
+        picked = [g for i, g in enumerate(pools[degree].gens)
                   if word >> 32 * i + 31 & 1]
         w = 0
         for g in picked:
-            w ^= g.value.mask
+            w ^= g.mask
         if not w:
             continue
         k = degree // 2

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,14 +13,16 @@ from hilb2 import (
     catalog_names,
     corollary_check,
     descriptor_to_json,
+    exdiv,
     from_base,
     kernel,
     kernel_dimensions,
     kernel_generators,
     load_descriptor,
     redundant_degrees,
+    run_suite,
 )
-from hilb2.gf2 import span_dims_by_degree
+from hilb2.gf2 import F2Vector, span_dims_by_degree
 from hilb2.steenrod import Sq1NotZero
 
 FROZEN_DIMS = {
@@ -43,7 +46,7 @@ def families12(d):
 
 
 def rank_by_degree(gens):
-    return span_dims_by_degree((g.value.degree, g.value.mask) for g in gens)
+    return span_dims_by_degree((g.degree, g.mask) for g in gens)
 
 
 def test_generator_listing_p2():
@@ -60,7 +63,7 @@ def test_even_square_families_span_matches_count():
         gens = [g for g in families12(d) if not g.is_zero]
         counts = {}
         for g in gens:
-            counts[g.value.degree] = counts.get(g.value.degree, 0) + 1
+            counts[g.degree] = counts.get(g.degree, 0) + 1
         assert counts == rank_by_degree(gens), name
 
 
@@ -83,7 +86,7 @@ def test_family_parities():
             if g.is_zero:
                 continue
             want_even = g.family in (1, 4)
-            assert g.value.degree % 2 == (0 if want_even else 1), \
+            assert g.degree % 2 == (0 if want_even else 1), \
                 (name, g.family)
 
 
@@ -133,6 +136,19 @@ def test_sq2_perturbation_leaves_kernel_dimensions_alone():
     assert kernel_dimensions(perturbed) == want
 
 
+def test_suite_builds_no_class_objects_for_the_kernel(monkeypatch):
+    # the generators are (degree, mask) records; an F2Vector is built only
+    # to print a generator or to report a corollary failure
+    built = Counter()
+    for module in (exdiv, kernel):
+        def counted(*args, _name=module.__name__):
+            built[_name] += 1
+            return F2Vector(*args)
+        monkeypatch.setattr(module, "F2Vector", counted)
+    assert run_suite(catalog_get("k3")).ok
+    assert built == {}
+
+
 def test_corollary_check_passes_on_even_catalog_entries():
     for name in ("p2", "p3", "k3"):
         rep = corollary_check(catalog_get(name), samples=100, seed=1)
@@ -159,27 +175,30 @@ def test_corollary_check_rejects_samples_below_one():
 
 
 def test_corollary_check_fails_on_a_planted_counterexample(monkeypatch):
+    # the pools are built once per descriptor, so each plant loads its own
+    planted = []
+    monkeypatch.setattr(kernel, "kernel_generators", lambda d: planted)
+
+    def plant(name, source, j, power):
+        d = catalog_get(name)
+        v = from_base(d, d.module.basis_vector(source))
+        for _ in range(power):
+            v = e_multiply(d, v)
+        planted[:] = [KernelGenerator(1, source, j, v.degree, v.mask)]
+        return d
+
     # h2 on its own in degree 4 = 2k, k = 2: the e^0 coefficient is nonzero
     # with nothing above it, and l = 2 satisfies 2l > k
-    d = catalog_get("p2")
-    h2 = from_base(d, d.module.basis_vector("h2"))
-    planted = [KernelGenerator(1, "h2", 0, h2)]
-    monkeypatch.setattr(kernel, "kernel_generators", lambda d: planted)
-    rep = corollary_check(d, samples=1, seed=0)
+    rep = corollary_check(plant("p2", "h2", 0, 0), samples=1, seed=0)
     assert [(e.check, e.status, e.details) for e in rep.entries] == [
         ("corollary", "fail", {"degree": 4, "l": 2, "e_power": 0,
                                "coefficient": ["h2"],
                                "combination": [(1, "h2", 0)]})]
     # e*h leads at e-power 1, and l = 1 fails 2l > k
-    eh = e_multiply(d, from_base(d, d.module.basis_vector("h")))
-    planted[:] = [KernelGenerator(1, "h", 1, eh)]
-    rep = corollary_check(d, samples=20, seed=0)
+    rep = corollary_check(plant("p2", "h", 1, 1), samples=20, seed=0)
     assert rep.ok and rep.statuses() == {"corollary": "pass"}
     # on p3, e*h3 in degree 8 = 2k, k = 4, leads at e-power 1: l = 3
-    d = catalog_get("p3")
-    planted[:] = [KernelGenerator(1, "h3", 1, e_multiply(
-        d, from_base(d, d.module.basis_vector("h3"))))]
-    rep = corollary_check(d, samples=1, seed=0)
+    rep = corollary_check(plant("p3", "h3", 1, 1), samples=1, seed=0)
     assert [e.details for e in rep.failures] == [
         {"degree": 8, "l": 3, "e_power": 1, "coefficient": ["h3"],
          "combination": [(1, "h3", 1)]}]

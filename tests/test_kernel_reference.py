@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from conftest import OutOfRange, e_multiply
 import hilb2
 from hilb2 import (catalog_get, catalog_text, corollary_check, exdiv, kernel,
-                   kernel_dimensions, kernel_generators, load_descriptor)
+                   kernel_dimensions, kernel_generators, load_descriptor,
+                   redundant_degrees)
 from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
 from hilb2.report import FAIL, PASS, Report
@@ -90,8 +91,8 @@ def corollary_by_xor(d, gens, samples, seed):
     """The sampled divisibility check, summing every picked combination."""
     by_degree = {}
     for g in gens:
-        if not g.is_zero and g.value.degree % 2 == 0:
-            by_degree.setdefault(g.value.degree, []).append(g)
+        if not g.is_zero and g.degree % 2 == 0:
+            by_degree.setdefault(g.degree, []).append(g)
     rep = Report()
     if not by_degree:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
@@ -107,7 +108,7 @@ def corollary_by_xor(d, gens, samples, seed):
             continue
         w = 0
         for g in picked:
-            w ^= g.value.mask
+            w ^= g.mask
         tested += 1
         if not w:
             continue
@@ -153,7 +154,7 @@ def random_table(rng, sq1=True):
 
 
 def _listing(gens):
-    return [(g.family, g.source, g.j, g.value.degree, g.value.mask) for g in gens]
+    return [(g.family, g.source, g.j, g.degree, g.mask) for g in gens]
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +255,7 @@ def planted_pool(rng, d):
                 mask = masks[-1]  # a repeated generator cancels in pairs
             masks.append(mask)
             gens.append(KernelGenerator(rng.randint(1, 4), f"c{j % width}", j,
-                                        F2Vector(degree, mask)))
+                                        degree, mask))
     return gens
 
 
@@ -278,7 +279,7 @@ def test_planted_pools_do_collide_and_fail():
         gens = planted_pool(rng, d)
         leads = {}
         for g in gens:
-            key = (g.value.degree, g.value.mask.bit_length())
+            key = (g.degree, g.mask.bit_length())
             leads[key] = leads.get(key, 0) + 1
         collided += any(count > 1 for count in leads.values())
         with pytest.MonkeyPatch.context() as mp:
@@ -331,7 +332,7 @@ def test_corollary_matches_the_reference_on_the_benchmark_ladders(tmp_path):
         for desc in ladder:
             d = load_descriptor(json.dumps(desc))
             gens = kernel_generators(d)
-            even = {g.value.degree for g in gens if g.value.degree % 2 == 0}
+            even = {g.degree for g in gens if g.degree % 2 == 0}
             most_degrees = max(most_degrees, len(even))
             most_generators = max(most_generators, len(gens))
             for seed in range(3):
@@ -342,13 +343,31 @@ def test_corollary_matches_the_reference_on_the_benchmark_ladders(tmp_path):
     assert most_degrees >= 60 and most_generators > 100
 
 
+def test_ranks_and_redundancy_match_a_full_elimination_on_the_ladders(tmp_path):
+    # every deep and wide benchmark rung, each degree eliminated from scratch
+    for workload in ("deep", "wide"):
+        ladder, _ = workloads.build(workload, hilb2, 0, str(tmp_path))
+        for desc in ladder:
+            d = load_descriptor(json.dumps(desc))
+            by_degree = {}
+            for g in kernel_generators(d):
+                by_degree.setdefault(g.degree, []).append(g.mask)
+            ranks = {deg: rank_by_lowest_bit(rows)
+                     for deg, rows in sorted(by_degree.items())}
+            assert kernel_dimensions(d) == {
+                deg: rank for deg, rank in ranks.items() if rank}, desc["name"]
+            assert redundant_degrees(d) == {
+                deg: (len(by_degree[deg]), rank) for deg, rank in ranks.items()
+                if len(by_degree[deg]) != rank}, desc["name"]
+
+
 def test_corollary_counts_without_summing_where_no_lead_can_fail():
     # on p3 (N = 4, n = 3) a degree-2k sample fails iff it leads at an
     # e-power p with 2(k - p) > k
     d = catalog_get("p3")
 
     def gen(degree, mask, j):
-        return KernelGenerator(1, "h", j, F2Vector(degree, mask))
+        return KernelGenerator(1, "h", j, degree, mask)
 
     # degree 4: leads e^2 and e*h (p = 2, 1), so no sample can fail;
     # degree 8: leads e^2*h2 (p = 2, passes) and e*h3 (p = 1, fails)
@@ -369,7 +388,7 @@ def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
     # their sum e*h3 leads at p = 1 with 2(4 - 1) > 4: only the echelon
     # form of the pool, not the generators' own leading bits, shows it
     d = catalog_get("p3")
-    gens = [KernelGenerator(1, "h", j, F2Vector(8, mask))
+    gens = [KernelGenerator(1, "h", j, 8, mask)
             for j, mask in enumerate((1 << 10 | 1 << 7, 1 << 10))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)

@@ -1,5 +1,6 @@
 """The consistency suite and its individual checks."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -163,12 +164,13 @@ def test_run_suite_notes_redundant_kernel_degrees():
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Count the runs of validation, generator construction, span rank and
-    the pair count that four Betti tables share."""
+    """Count the runs of validation, generator construction, the per-degree
+    echelon form of the generators and the pair count that four Betti
+    tables share."""
     calls = Counter()
     for module, name in ((steenrod, "validate"),
                          (kernel, "_build_generators"),
-                         (gf2, "span_dims_by_degree"),
+                         (kernel, "_build_pools"),
                          (spaces, "_pair_counts")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -177,7 +179,7 @@ def stage_calls(monkeypatch):
     return calls
 
 
-ONCE = {"validate": 1, "_build_generators": 1, "span_dims_by_degree": 1,
+ONCE = {"validate": 1, "_build_generators": 1, "_build_pools": 1,
         "_pair_counts": 1}
 
 
@@ -189,3 +191,18 @@ def test_check_runs_each_stage_once(stage_calls, capsys):
 def test_suite_on_a_loaded_descriptor_runs_each_stage_once(stage_calls):
     assert run_suite(load_descriptor(catalog_text("enriques_x"))).ok
     assert stage_calls == ONCE
+
+
+def test_check_reduces_each_kernel_degree_once(monkeypatch, capsys):
+    # the rank, the redundancy note and the corollary share one echelon form
+    # per kernel degree: k3 has kernel degrees 0, 2 and 4
+    callers = Counter()
+    pivots = gf2.pivots
+
+    def counted(rows):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return pivots(rows)
+
+    monkeypatch.setattr(gf2, "pivots", counted)
+    assert cli.main(["check", "k3"]) == 0
+    assert callers == {"hilb2.kernel": 3}
