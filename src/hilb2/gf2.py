@@ -8,11 +8,13 @@ size (see exdiv). The one elimination routine, pivots, brings rows to
 echelon form on the leading set bit: rows that already have distinct
 leading bits, such as the triangular kernel ladders, become pivots without
 a single XOR. Its pivots count the rank, and their leading bits are exactly
-the leading bits of the nonzero elements of the span.
+the leading bits of the nonzero elements of the span. pivots_by_degree,
+the one routine that groups rows by degree, serves kernel and loader alike.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -79,16 +81,24 @@ def pivots(rows: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def span_dims_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Dimension of the span of (degree, mask) rows, one entry per degree.
+def pivots_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, dict]:
+    """Echelon form (see pivots) of the nonzero (degree, mask) rows of each
+    degree, degrees ascending; a degree with no nonzero row is omitted.
 
-    Zero rows contribute nothing and degrees of dimension zero are omitted.
+    >>> pivots_by_degree([(4, 0b10), (2, 0b11), (2, 0b01), (6, 0)])
+    {2: {2: 3, 1: 1}, 4: {2: 2}}
+    """
+    by_degree = defaultdict(list)
+    for degree, mask in rows:
+        if mask:
+            by_degree[degree].append(mask)
+    return {d: pivots(by_degree[d]) for d in sorted(by_degree)}
+
+
+def span_dims_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The ranks of pivots_by_degree: degree -> dimension of the span.
 
     >>> span_dims_by_degree([(2, 0b01), (2, 0b01), (2, 0b10), (4, 0)])
     {2: 2}
     """
-    by_degree: dict[int, list] = {}
-    for degree, mask in rows:
-        if mask:
-            by_degree.setdefault(degree, []).append(mask)
-    return {d: len(pivots(masks)) for d, masks in sorted(by_degree.items())}
+    return {d: len(p) for d, p in pivots_by_degree(rows).items()}

@@ -22,15 +22,16 @@ class with no stored square skips the ladder computation: its one nonzero
 ladder is e^t u. A ladder that collapses to zero contributes no generator,
 so every listed generator is nonzero.
 
-The generators of each degree are brought to echelon form once per
-descriptor (_build_pools). That one table gives kernel_dimensions its
-ranks, redundant_degrees its counts and corollary_check its even-degree
-pools and their lowest pivots.
+gf2.pivots_by_degree brings the generators of each degree to echelon form
+once per descriptor, and _build_pools keeps their count, rank and lowest
+pivot. That one table gives kernel_dimensions its ranks, redundant_degrees
+its counts and corollary_check its pool sizes and lowest pivots.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from . import exdiv, gf2, steenrod
@@ -58,18 +59,18 @@ class KernelGenerator(NamedTuple):
 
 
 class _Pool(NamedTuple):
-    """The generators of one degree, in list order, and their echelon form."""
-    gens: list[KernelGenerator]
+    """The generators of one degree, counted and brought to echelon form."""
+    count: int
     rank: int
-    low: int  # the pivot with the lowest leading bit; 0 when the rank is 0
+    low: int  # the pivot with the lowest leading bit
 
 
 def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     """The nonzero generators of all four families in declaration order of
     u, s inner, j innermost; a zero ladder is not listed. The list is built
-    once per descriptor; each call returns a fresh copy.
+    once per descriptor and shared by every call, so treat it as read-only.
     """
-    return list(once(d, "kernel_generators", lambda: _build_generators(d)))
+    return once(d, "kernel_generators", lambda: _build_generators(d))
 
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
@@ -85,23 +86,19 @@ def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     return out
 
 
-def _pools(d: ManifoldDescriptor, gens: list[KernelGenerator]
-           ) -> dict[int, _Pool]:
-    """degree -> _Pool, degrees ascending, built once per descriptor from
-    gens, the list kernel_generators(d) returned."""
+def _pools(d: ManifoldDescriptor) -> dict[int, _Pool]:
+    """degree -> _Pool, degrees ascending, built once per descriptor."""
+    gens = kernel_generators(d)
     return once(d, "kernel_pools", lambda: _build_pools(gens))
 
 
 def _build_pools(gens: list[KernelGenerator]) -> dict[int, _Pool]:
-    by_degree: dict[int, list[KernelGenerator]] = {}
-    for g in gens:
-        by_degree.setdefault(g.degree, []).append(g)
-    pools = {}
-    for degree in sorted(by_degree):
-        leads = gf2.pivots([g.mask for g in by_degree[degree]])
-        pools[degree] = _Pool(by_degree[degree], len(leads),
-                              leads[min(leads)] if leads else 0)
-    return pools
+    # every listed generator is nonzero, so each one is a row of its degree
+    degrees = [g.degree for g in gens]
+    counts = Counter(degrees)
+    echelon = gf2.pivots_by_degree(zip(degrees, [g.mask for g in gens]))
+    return {degree: _Pool(counts[degree], len(leads), leads[min(leads)])
+            for degree, leads in echelon.items()}
 
 
 def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
@@ -113,16 +110,15 @@ def kernel_dimensions(d: ManifoldDescriptor) -> dict[int, int]:
     >>> kernel_dimensions(catalog_get("enriques_x"))
     {0: 1, 1: 1, 2: 2, 3: 2, 4: 12, 5: 1}
     """
-    pools = _pools(d, kernel_generators(d))
-    return {deg: p.rank for deg, p in pools.items() if p.rank}
+    return {deg: p.rank for deg, p in _pools(d).items()}
 
 
 def redundant_degrees(d: ManifoldDescriptor) -> dict[int, tuple[int, int]]:
     """Degrees where the four families overlap: degree -> (count, dimension)."""
-    pools = _pools(d, kernel_generators(d))
+    pools = _pools(d)
     dims = kernel_dimensions(d)
-    return {deg: (len(p.gens), dims[deg]) for deg, p in pools.items()
-            if len(p.gens) != dims[deg]}
+    return {deg: (p.count, dims[deg]) for deg, p in pools.items()
+            if p.count != dims[deg]}
 
 
 def corollary_check(d: ManifoldDescriptor, samples: int = 200,
@@ -142,53 +138,52 @@ def corollary_check(d: ManifoldDescriptor, samples: int = 200,
     It then draws one getrandbits(32 * L) for that degree's pool of L
     generators: generator i is picked when bit 32i + 31 is set, which is
     the bit getrandbits(1) would return for word i, so the picks and the
-    state of the generator are those of L one-bit draws. Both bit counts
-    and the pick mask of each degree are worked out before the loop. The
-    leading bits of the nonzero elements of a pool's span are those of its
-    echelon form, which _build_pools has already found, so a degree can
-    fail exactly when some pivot leads at an e-power p with 2(k - p) > k.
-    The e-power grows with the bit, so the lowest pivot decides. Samples of
-    the other degrees are only counted; in a degree that can fail, each
-    sample XORs its picks.
+    state of the generator are those of L one-bit draws. The plan holds, per
+    even degree in draw order, its word bits, pick mask and whether a sample
+    can fail there. The leading bits of the nonzero elements of a pool's
+    span are those of its echelon form, whose lowest pivot _build_pools has
+    already found, so a degree can fail exactly when some pivot leads at an
+    e-power p with 2(k - p) > k. The e-power grows with the bit, so the
+    lowest pivot decides. Samples of the other degrees are only counted; a
+    degree that can fail collects its generators, in list order, at its
+    first sample, and XORs the picks.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(
             f"{d.name}: the divisibility corollary assumes Sq^1 = 0")
-    pools = {deg: p for deg, p in _pools(d, kernel_generators(d)).items()
-             if deg % 2 == 0}
+    plan = []
+    for degree, p in _pools(d).items():
+        if degree % 2 == 0:
+            k = degree // 2
+            plan.append((degree, 32 * p.count,
+                         int.from_bytes(b"\0\0\0\x80" * p.count, "little"),
+                         2 * (k - exdiv.leading_power(d, p.low)) > k))
     rep = Report()
-    if not pools:
+    if not plan:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
         return rep
-    degrees = list(pools)
-    # per degree, in draw order: (bits of its pick word, mask of the pick bits)
-    steps = [(32 * len(p.gens),
-              int.from_bytes(b"\0\0\0\x80" * len(p.gens), "little"))
-             for p in pools.values()]
-    fallible = set()  # draw indices of the degrees where a sample can fail
-    for r, (degree, p) in enumerate(pools.items()):
-        k = degree // 2
-        if 2 * (k - exdiv.leading_power(d, p.low)) > k:
-            fallible.add(r)
+    pools: dict[int, list[KernelGenerator]] = {}  # the degrees that can fail
     getrandbits = random.Random(seed).getrandbits
-    count = len(steps)
+    count = len(plan)
     draw_bits = count.bit_length()
     tested = 0
     for _ in range(samples):
         r = getrandbits(draw_bits)  # randrange(count)
         while r >= count:
             r = getrandbits(draw_bits)
-        bits, tops = steps[r]
+        degree, bits, tops, can_fail = plan[r]
         word = getrandbits(bits)
         if not word & tops:
             continue
         tested += 1
-        if r not in fallible:
+        if not can_fail:
             continue
-        degree = degrees[r]
-        picked = [g for i, g in enumerate(pools[degree].gens)
+        if degree not in pools:
+            pools[degree] = [g for g in kernel_generators(d)
+                             if g.degree == degree]
+        picked = [g for i, g in enumerate(pools[degree])
                   if word >> 32 * i + 31 & 1]
         w = 0
         for g in picked:

@@ -345,11 +345,11 @@ def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
     section 11). The pair k = 0 is left to instability and orientability.
     Only degrees with a stored Sq^1 row and their partners are compared."""
     m, top = d.module, 2 * d.n
-    rows = _rows_by_degree(m, {i: row[1] for i, row in m.sq.items() if 1 in row})
+    ranks = gf2.span_dims_by_degree(
+        (m.basis[i][1], row[1]) for i, row in m.sq.items() if 1 in row)
     # of k and 2n - 1 - k, the smaller is below n
-    for k in sorted({min(r, top - 1 - r) for r in rows if 0 < r < top - 1}):
-        low = len(gf2.pivots(rows.get(k, ())))
-        high = len(gf2.pivots(rows.get(top - 1 - k, ())))
+    for k in sorted({min(r, top - 1 - r) for r in ranks if 0 < r < top - 1}):
+        low, high = ranks.get(k, 0), ranks.get(top - 1 - k, 0)
         if low != high:
             rep.add("sq1-self-adjoint", FAIL,
                     f"rank Sq^1 on H^{k} is {low} but on H^{top - 1 - k} it "
@@ -369,24 +369,17 @@ def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable, u: int,
             pairs[i] = pairs.get(i, 0) ^ 1 << j
             if i != j:
                 pairs[j] = pairs.get(j, 0) ^ 1 << i
-    rows = _rows_by_degree(m, pairs)
     # the pairing is symmetric, so degree 2n - k repeats the rank of degree k;
     # a degree without classes has no rows and b_k = 0
+    ranks = gf2.span_dims_by_degree((deg, mask) for i, mask in pairs.items()
+                                    if (deg := m.basis[i][1]) <= d.n)
     for k in sorted(k for k in table.dims if k <= d.n):
-        rank = len(gf2.pivots(rows.get(k, ())))
+        rank = ranks.get(k, 0)
         if rank != table.dim(k):
             rep.add("cup-pairing", FAIL,
                     f"the cup pairing H^{k} x H^{top - k} -> H^{top} has rank "
                     f"{rank}, not b_{k} = {table.dim(k)}; Poincare duality "
                     "needs it nondegenerate")
-
-
-def _rows_by_degree(m: UnstableModule, rows: Mapping[int, int]) -> dict:
-    """{class index -> mask} rows grouped by the degree of their class."""
-    out: dict[int, list[int]] = {}
-    for i, mask in rows.items():
-        out.setdefault(m.basis[i][1], []).append(mask)
-    return out
 
 
 def load_descriptor(text: str | bytes) -> ManifoldDescriptor:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import e_multiply, make_descriptor
+from conftest import e_multiply
 from hilb2 import (
     betti_exceptional,
     boundary_no_b,

@@ -124,6 +124,14 @@ def test_redundant_degrees_on_catalog_and_crafted_overlap():
     assert redundant_degrees(d) == {3: (2, 1)}
 
 
+def test_kernel_generators_shares_one_list_per_descriptor():
+    # the list is memoized and read-only; no call copies it
+    d = catalog_get("k3")
+    assert kernel_generators(d) is kernel_generators(d)
+    run_suite(d)
+    assert kernel_generators(d) is kernel_generators(d)
+
+
 def test_sq2_perturbation_leaves_kernel_dimensions_alone():
     base = catalog_get("enriques_x")
     want = kernel_dimensions(base)

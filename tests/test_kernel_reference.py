@@ -343,6 +343,29 @@ def test_corollary_matches_the_reference_on_the_benchmark_ladders(tmp_path):
     assert most_degrees >= 60 and most_generators > 100
 
 
+def test_no_degree_can_fail_on_a_loaded_descriptor(tmp_path):
+    # with Sq^1 = 0 the loader leaves only families 1 and 2. An even
+    # degree 2k = 2 deg u + 2j holds e^j L_0(u) of an even class u, which
+    # leads at e-power p = j + deg u / 2, and 2(k - p) = deg u <= k; so the
+    # corollary never collects a pool, and its one read of the list is the
+    # pools' read
+    descs = [json.loads(catalog_text(name)) for name in ("p1", "p2", "p3", "k3")]
+    for workload in ("deep", "wide"):
+        descs += workloads.build(workload, hilb2, 0, str(tmp_path))[0]
+    for desc in descs:
+        d = load_descriptor(json.dumps(desc))
+        calls = []
+
+        def listed(d, _list=kernel_generators(d)):
+            calls.append(d)
+            return _list
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "kernel_generators", listed)
+            assert corollary_check(d, samples=400, seed=1).ok, desc["name"]
+        assert len(calls) == 1, desc["name"]
+
+
 def test_ranks_and_redundancy_match_a_full_elimination_on_the_ladders(tmp_path):
     # every deep and wide benchmark rung, each degree eliminated from scratch
     for workload in ("deep", "wide"):
@@ -398,6 +421,41 @@ def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
         e.details["e_power"] == 1 and e.details["coefficient"] == ["h3"]
         and e.details["combination"] == [(1, "h", 0), (1, "h", 1)]
         for e in got.failures)
+
+
+def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
+    # on p3 (N = 4, n = 3) the pools of degrees 4 and 8 can each fail, and
+    # their generators are interleaved in the list. Degree 8 fails in two
+    # of the 8 samples, through e*h3 = X + Y = Y + Z, while degree 4 is
+    # drawn twice and both times picks e*h alone, which passes; degree 0
+    # is never drawn and cannot fail
+    d = catalog_get("p3")
+
+    def bit(p, i):  # e^p times class i
+        return 1 << 4 * p + i
+
+    gens = [KernelGenerator(1, "h2", 1, 8, bit(2, 2) | bit(1, 3)),  # X
+            KernelGenerator(1, "h", 0, 4, bit(1, 1) | bit(0, 2)),
+            KernelGenerator(1, "1", 0, 0, bit(0, 0)),
+            KernelGenerator(2, "h2", 0, 8, bit(2, 2)),  # Y
+            KernelGenerator(1, "h", 1, 4, bit(1, 1)),
+            KernelGenerator(3, "h3", 2, 8, bit(2, 2) | bit(1, 3))]  # Z
+    calls = []
+
+    def listed(d):
+        calls.append(d)
+        return gens
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "kernel_generators", listed)
+        got = corollary_check(d, samples=8, seed=33)
+    assert got.entries == corollary_by_xor(d, gens, 8, 33).entries
+    assert [(e.details["degree"], e.details["combination"])
+            for e in got.failures] == [
+        (8, [(1, "h2", 1), (2, "h2", 0)]), (8, [(2, "h2", 0), (3, "h3", 2)])]
+    # one read for the pools, then one for each degree that can fail and
+    # was drawn with a nonempty pick: 8 and 4
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("name, parities", [("k3", 1), ("enriques_x", 2)])
