@@ -19,8 +19,8 @@ basis_vector(name) reads one, and names(mask) and unit() print them.
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
-symmetric multiplication table: pairs that are not stored multiply to zero
-(every product landing above the top degree vanishes regardless).
+symmetric multiplication table: pairs that are not stored multiply to zero,
+and cup_product reads a stored product above the top degree as zero.
 
 Validation visits only the stored squares and cup entries, not (2n)^3 or
 the basis; but a stored mask that holds class i is i + 1 bits wide, so the
@@ -59,7 +59,8 @@ class UnstableModule:
     bit i of a mask. sq maps class index i -> {k: mask of Sq^k x_i}, nonzero
     masks of classes with a stored square only; Sq^0 is implicit, and k may
     exceed deg x_i. cup maps an index pair (i, j) with i <= j to the mask of
-    their product, or is None when the product structure is unknown.
+    their product, or is None when the product structure is unknown. Both
+    tables are stored once and read in place.
     """
 
     basis: tuple
@@ -70,18 +71,6 @@ class UnstableModule:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, (name, _) in enumerate(self.basis)}
-
-    @cached_property
-    def _cup_rows(self) -> dict[int, dict[int, int]]:
-        """class index i -> {j: product of classes i and j}, both orders,
-        stored entries only; products above the top degree vanish, and
-        cup_product applies the unit, which has no row, as the identity."""
-        rows: dict[int, dict[int, int]] = {}
-        for (i, j), mask in self.cup.items():
-            if self.basis[i][1] + self.basis[j][1] <= self.top_degree:
-                rows.setdefault(i, {})[j] = mask
-                rows.setdefault(j, {})[i] = mask
-        return rows
 
     @cached_property
     def _unit_bit(self) -> int:
@@ -104,7 +93,8 @@ class UnstableModule:
         return F2Vector(self.basis[i][1], 1 << i)
 
     def cup_product(self, v: int, w: int) -> int:
-        """Bilinear extension of the stored table to masks.
+        """Bilinear extension of the stored table to masks; the unit acts as
+        the identity, and a stored product above the top degree is zero.
 
         >>> m = UnstableModule((("1", 0), ("h", 2), ("h2", 4)), {},
         ...                    {(1, 1): 0b100}, 4)
@@ -119,14 +109,20 @@ class UnstableModule:
         if (v | w) & u:  # the unit acts as the identity
             acc = (w if v & u else 0) ^ (v & ~u if w & u else 0)
             v, w = v & ~u, w & ~u
-        rows = self._cup_rows
+        product = self._product
         if not (v & (v - 1) or w & (w - 1)):  # one class or none on each side
-            return acc ^ rows.get(v.bit_length() - 1, {}).get(w.bit_length() - 1, 0)
+            return acc ^ product(v.bit_length() - 1, w.bit_length() - 1)
         for i in _bits(v):
-            row = rows.get(i, {})
             for j in _bits(w):
-                acc ^= row.get(j, 0)
+                acc ^= product(i, j)
         return acc
+
+    def _product(self, i: int, j: int) -> int:
+        """The stored product of classes i and j, or 0 above the top degree."""
+        mask = self.cup.get((i, j) if i <= j else (j, i))
+        if mask and self.basis[i][1] + self.basis[j][1] <= self.top_degree:
+            return mask
+        return 0
 
 
 def _bits(mask: int):
@@ -233,7 +229,7 @@ def validate(m: UnstableModule) -> Report:
     else:
         # both sides vanish unless Sq^(deg u) u or u cup u is stored
         for i in sorted({i for i, row in m.sq.items() if m.basis[i][1] in row}
-                        | {i for i, row in m._cup_rows.items() if i in row}):
+                        | {i for i, j in m.cup if i == j}):
             name, deg = m.basis[i]
             if deg < 1:
                 continue

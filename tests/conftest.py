@@ -1,8 +1,10 @@
 """Shared descriptor builders and reference helpers for the test suite."""
 
+import contextlib
+import io
 import json
 
-from hilb2 import load_descriptor, parse_descriptor
+from hilb2 import cli, load_descriptor, parse_descriptor
 from hilb2.gf2 import F2Vector
 
 
@@ -49,6 +51,15 @@ def make_descriptor(**kw):
 def parse_only(**kw):
     """Structurally parsed descriptor, axiom checks deliberately skipped."""
     return parse_descriptor(json.dumps(descriptor_obj(**kw)))
+
+
+def run(argv):
+    """[argv, exit code, stdout, stderr] of one cli.main call: one record
+    entry of the golden CLI tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [argv, code, out.getvalue(), err.getvalue()]
 
 
 class OutOfRange(ValueError):

@@ -7,14 +7,13 @@ golden_cli.json. To rewrite the record after a deliberate output change:
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
-import contextlib
-import io
 import json
 import os
 
 import pytest
 
-from hilb2 import catalog_names, cli
+from conftest import run
+from hilb2 import catalog_names
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
@@ -30,13 +29,6 @@ def commands(name):
                ["integral", name, "--space", "sym2"],
                ["check", name], ["check", name, "--json", "--seed", "3"],
                ["catalog", "show", name], ["catalog", "export", name]])
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return [argv, code, out.getvalue(), err.getvalue()]
 
 
 def record():

@@ -10,8 +10,6 @@ the record after a deliberate output change:
     PYTHONPATH=src python tests/test_golden_products.py
 """
 
-import contextlib
-import io
 import json
 import os
 import sys
@@ -19,7 +17,8 @@ import tempfile
 
 import pytest
 
-from hilb2 import catalog_text, cli
+from conftest import run
+from hilb2 import catalog_text
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_products.json")
@@ -42,13 +41,6 @@ def commands(path):
             ["check", path, "--json", "--seed", "3"],
             ["betti", path, "--space", "hilb2", "--method", "both",
              "--format", "json"]]
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return [argv, code, out.getvalue(), err.getvalue()]
 
 
 def write_products(folder):

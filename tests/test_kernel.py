@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import e_multiply, make_descriptor
+from conftest import e_multiply, make_descriptor, parse_only
 from hilb2 import (
     KernelGenerator,
     catalog_get,
@@ -161,6 +161,14 @@ def test_corollary_check_passes_on_even_catalog_entries():
     for name in ("p2", "p3", "k3"):
         rep = corollary_check(catalog_get(name), samples=100, seed=1)
         assert rep.ok, name
+
+
+def test_corollary_check_is_vacuous_without_even_degree_generators():
+    # the one generator, family 2 of the degree-1 class, lies in degree 1
+    d = parse_only(n=1, degrees=[1], compact=False)
+    assert [(e.check, e.status, e.details)
+            for e in corollary_check(d).entries] == [
+        ("corollary", "pass", "no even-degree kernel generators; vacuous")]
 
 
 def test_corollary_check_requires_vanishing_bockstein():

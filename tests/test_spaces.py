@@ -94,6 +94,16 @@ def test_duplicate_class_name_rejected():
     assert exc.value.location == "classes[1]"
 
 
+def test_class_names_must_be_nonempty_ascii():
+    for bad in ("", "é"):
+        obj = descriptor_obj(n=1, classes=[{"name": "1", "degree": 0},
+                                           {"name": bad, "degree": 2}])
+        with pytest.raises(DescriptorError) as exc:
+            parse(obj)
+        assert str(exc.value) == "classes[1]: class names must be nonempty ASCII"
+        assert exc.value.location == "classes[1]"
+
+
 def test_negative_or_bool_degree_rejected():
     for bad in [-1, True]:
         obj = descriptor_obj(n=1, classes=[{"name": "a", "degree": bad}])

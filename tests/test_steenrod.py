@@ -411,3 +411,13 @@ def test_squares_beyond_instability_as_the_dense_reference_reads_them():
     rep = validate(m)
     assert rep.entries == dense_validate(m).entries
     assert rep.statuses() == {"instability": "fail"}
+
+
+def test_a_stored_product_above_the_top_degree_is_zero():
+    # h cup h lands in degree 4 > top = 2, so it multiplies to zero; the
+    # dense reference calls cup_product and cannot catch this rule's loss
+    m = _named(1, (("1", 0), ("h", 2)), sq=[],
+               cup=[{"a": "h", "b": "h", "result": ["h"]}])
+    assert m.cup_product(0b10, 0b10) == 0
+    assert [(e.check, e.details) for e in validate(m).failures] == [
+        ("degree-shift", "h cup h contains h of degree 2, expected degree 4")]
