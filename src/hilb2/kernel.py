@@ -26,6 +26,11 @@ gf2.pivots_by_degree brings the generators of each degree to echelon form
 once per descriptor, and _build_pools keeps their count, rank and lowest
 pivot. That one table gives kernel_dimensions its ranks, redundant_degrees
 its counts and corollary_check its pool sizes and lowest pivots.
+
+corollary_check is exact: an even degree fails iff its lowest pivot breaks
+the constraint, one FAIL each, its combination found by an augmented
+elimination of that degree's generators. A loaded Sq^1 = 0 descriptor has
+only families 1-2 and never fails; the sample count is only in the PASS text.
 """
 
 from __future__ import annotations
@@ -123,85 +128,72 @@ def redundant_degrees(d: ManifoldDescriptor) -> dict[int, tuple[int, int]]:
 
 def corollary_check(d: ManifoldDescriptor, samples: int = 200,
                     seed: int = 0) -> Report:
-    """Sampled divisibility constraint on the kernel, valid when Sq^1 = 0.
+    """Divisibility constraint on the kernel, valid when Sq^1 = 0.
 
     Any kernel element w of even total degree 2k decomposes as
     w = sum_j e^j c_j. For every l with 2l > k: if all coefficients above
     e-power k-l vanish, the coefficient at e-power k-l must vanish too.
-    Only l = k - p, for p the leading e-power of w, can break this.
-    Random F2-combinations of same-degree generators are tested; the report
-    carries one summary entry, or one failure per counterexample found.
+    Only l = k - p, for p the leading e-power of w, can break this, and p
+    grows with the leading bit, which over a degree's span is lowest at
+    the lowest pivot. So the verdict is exact: one FAIL, degrees ascending,
+    per even degree whose lowest pivot leads at a p with 2(k - p) > k, with
+    the combination from _witness. No loaded descriptor fails: with
+    Sq^1 = 0 only families 1-2 remain, and e^j L_0(u) leads at
+    p = j + deg u / 2, with 2(k - p) = deg u <= k.
 
-    A sample draws one of the D even degrees with
-    random.Random(seed).randrange(D), done inline the way randrange does
-    it: getrandbits(D.bit_length()), drawn again while it is D or more.
-    It then draws one getrandbits(32 * L) for that degree's pool of L
-    generators: generator i is picked when bit 32i + 31 is set, which is
-    the bit getrandbits(1) would return for word i, so the picks and the
-    state of the generator are those of L one-bit draws. The plan holds, per
-    even degree in draw order, its word bits, pick mask and whether a sample
-    can fail there. The leading bits of the nonzero elements of a pool's
-    span are those of its echelon form, whose lowest pivot _build_pools has
-    already found, so a degree can fail exactly when some pivot leads at an
-    e-power p with 2(k - p) > k. The e-power grows with the bit, so the
-    lowest pivot decides. Samples of the other degrees are only counted; a
-    degree that can fail collects its generators, in list order, at its
-    first sample, and XORs the picks.
+    Otherwise the samples only count nonempty picks for the PASS text. A
+    sample draws its degree index as randrange(D) does, D the number of
+    even degrees: getrandbits(D.bit_length()), again while it is D or more.
+    Its one getrandbits(32 * L) for a pool of L generators picks
+    generator i when bit 32i + 31 is set, the bit getrandbits(1) would
+    give for word i, so the count is that of L one-bit draws.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(
             f"{d.name}: the divisibility corollary assumes Sq^1 = 0")
-    plan = []
+    rep = Report()
+    plan = []  # per even degree: word bits, pick mask
     for degree, p in _pools(d).items():
         if degree % 2 == 0:
             k = degree // 2
-            plan.append((degree, 32 * p.count,
-                         int.from_bytes(b"\0\0\0\x80" * p.count, "little"),
-                         2 * (k - exdiv.leading_power(d, p.low)) > k))
-    rep = Report()
+            if 2 * (k - exdiv.leading_power(d, p.low)) > k:
+                rep.add("corollary", FAIL, _witness(d, degree))
+            plan.append((32 * p.count,
+                         int.from_bytes(b"\0\0\0\x80" * p.count, "little")))
     if not plan:
         rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
-        return rep
-    pools: dict[int, list[KernelGenerator]] = {}  # the degrees that can fail
-    getrandbits = random.Random(seed).getrandbits
-    count = len(plan)
-    draw_bits = count.bit_length()
-    tested = 0
-    for _ in range(samples):
-        r = getrandbits(draw_bits)  # randrange(count)
-        while r >= count:
-            r = getrandbits(draw_bits)
-        degree, bits, tops, can_fail = plan[r]
-        word = getrandbits(bits)
-        if not word & tops:
-            continue
-        tested += 1
-        if not can_fail:
-            continue
-        if degree not in pools:
-            pools[degree] = [g for g in kernel_generators(d)
-                             if g.degree == degree]
-        picked = [g for i, g in enumerate(pools[degree])
-                  if word >> 32 * i + 31 & 1]
-        w = 0
-        for g in picked:
-            w ^= g.mask
-        if not w:
-            continue
-        k = degree // 2
-        p = exdiv.leading_power(d, w)
-        if 2 * (k - p) > k:
-            coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
-            rep.add("corollary", FAIL, {
-                "degree": degree,
-                "l": k - p,
-                "e_power": p,
-                "coefficient": sorted(d.module.names(coeff.mask)),
-                "combination": [(g.family, g.source, g.j) for g in picked],
-            })
-    if rep.ok:
+    elif rep.ok:
+        getrandbits = random.Random(seed).getrandbits
+        count = len(plan)
+        draw_bits = count.bit_length()
+        tested = 0
+        for _ in range(samples):
+            r = getrandbits(draw_bits)  # randrange(count)
+            while r >= count:
+                r = getrandbits(draw_bits)
+            bits, tops = plan[r]
+            tested += bool(getrandbits(bits) & tops)
         rep.add("corollary", PASS,
                 f"{tested} sampled combinations satisfied the constraint")
     return rep
+
+
+def _witness(d: ManifoldDescriptor, degree: int) -> dict:
+    """The FAIL details of a failing degree. Its L generators, as the rows
+    g.mask << L | 1 << i, go to echelon form; the pivot of lowest lead
+    above L holds an element of lowest leading bit in the span (high part)
+    and the generators that sum to it (low bits)."""
+    pool = [g for g in kernel_generators(d) if g.degree == degree]
+    size = len(pool)
+    echelon = gf2.pivots(g.mask << size | 1 << i for i, g in enumerate(pool))
+    row = echelon[min(lead for lead in echelon if lead > size)]
+    w = row >> size
+    k = degree // 2
+    p = exdiv.leading_power(d, w)
+    coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
+    return {"degree": degree, "l": k - p, "e_power": p,
+            "coefficient": sorted(d.module.names(coeff.mask)),
+            "combination": [(g.family, g.source, g.j)
+                            for i, g in enumerate(pool) if row >> i & 1]}

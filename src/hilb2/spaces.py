@@ -209,6 +209,8 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         index[name] = len(basis)
         basis.append((name, degree))
 
+    shared: dict[int, int] = {}  # equal stored masks are one int object
+
     def mask_of(names: list, role: str, kind: str, i: int) -> int:
         mask = 0
         for t in names:
@@ -218,7 +220,7 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
             if mask & bit:
                 raise DescriptorError(f"repeated {role} {t!r}", f"{kind}[{i}]")
             mask |= bit
-        return mask
+        return shared.setdefault(mask, mask)
 
     sq: dict[int, dict[int, int]] = {}
     sq_seen: set[tuple[int, str]] = set()

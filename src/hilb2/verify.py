@@ -1,10 +1,14 @@
 """Consistency suite: duality, Euler characteristic, method agreement,
-universal coefficients, the sampled divisibility corollary, and a small
+universal coefficients, the divisibility corollary, and a small
 known-answer database.
 
-Every check yields one report entry. Checks whose hypotheses fail are
-recorded as notes rather than silently skipped, so a report always shows the
-same set of check names for a given kind of input.
+Every check yields one report entry, but the corollary, decided exactly
+from the kernel's echelon form, gives one FAIL per failing degree with the
+combination its augmented elimination finds, and shows its sample count
+only when it passes; a loaded Sq^1 = 0 descriptor cannot fail it (see
+kernel.corollary_check). Checks whose hypotheses fail are recorded as
+notes rather than silently skipped, so a report always shows the same set
+of check names for a given kind of input.
 """
 
 from __future__ import annotations

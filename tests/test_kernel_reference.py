@@ -2,15 +2,15 @@
 
 The references do the plain thing at every step: elimination on the lowest
 set bit, one sq() call per ladder term, every e^j generator by repeated
-e_multiply (zero ladders listed too), and a corollary sample that draws one
-getrandbits(1) per generator and sums the masks of every picked one. The
-library reads the stored squares once, skips the odd-square ladders when no
-odd square is stored, builds the ladder of a class without a stored square
-directly, shifts each ladder's bits, pivots on leading bits, draws a
-sample's degree inline and its picks in one call, and sums masks only in
-degrees whose echelon form has a pivot that can fail; on random Sq tables,
-Sq^1 != 0 included, on planted generator pools and on the benchmark's
-input ladders, both must give the same answers.
+e_multiply (zero ladders listed too), a corollary verdict from every nonzero
+combination of each even pool, and a corollary sample count that draws one
+getrandbits(1) per generator. The library reads the stored squares once,
+skips the odd-square ladders when no odd square is stored, builds the
+ladder of a class without a stored square directly, shifts each ladder's
+bits, pivots on leading bits, decides the corollary from each degree's
+lowest pivot, and draws a sample's degree inline and its picks in one
+call; on random Sq tables, Sq^1 != 0 included, on planted generator pools
+and on the benchmark's input ladders, both must give the same answers.
 """
 
 import json
@@ -127,6 +127,58 @@ def corollary_by_xor(d, gens, samples, seed):
     return rep
 
 
+def corollary_by_span(d, gens):
+    """degree -> lowest leading bit of the span, for each even degree where
+    some nonzero combination of the generators breaks the constraint; every
+    combination is visited once, in Gray-code order."""
+    width = len(d.module.basis)
+    by_degree = {}
+    for g in gens:
+        if g.degree % 2 == 0:
+            by_degree.setdefault(g.degree, []).append(g.mask)
+    failing = {}
+    for degree, masks in sorted(by_degree.items()):
+        w, leads = 0, set()
+        for pick in range(1, 1 << len(masks)):
+            w ^= masks[(pick & -pick).bit_length() - 1]
+            if w:
+                leads.add(w.bit_length())
+        k = degree // 2
+        if leads and 2 * (k - (min(leads) - 1) // width) > k:
+            failing[degree] = min(leads)
+    return failing
+
+
+def assert_corollary_exact(d, gens, got, samples, seed):
+    """got fails in exactly the degrees corollary_by_span finds, once each,
+    with a combination, in list order, whose sum has the reported e-power
+    and coefficient and the lowest leading bit of its span; where nothing
+    fails it is corollary_by_xor's PASS."""
+    failing = corollary_by_span(d, gens)
+    if not failing:
+        assert got.entries == corollary_by_xor(d, gens, samples, seed).entries
+        return
+    assert [e.details["degree"] for e in got.entries] == sorted(failing)
+    assert all(e.status == FAIL for e in got.entries)
+    width = len(d.module.basis)
+    for e in got.entries:
+        degree = e.details["degree"]
+        pool = [(g.family, g.source, g.j, g.mask) for g in gens
+                if g.degree == degree]
+        combination = e.details["combination"]
+        picked = [(tuple(key), mask) for *key, mask in pool
+                  if tuple(key) in combination]
+        assert [key for key, _ in picked] == combination
+        w = 0
+        for _, mask in picked:
+            w ^= mask
+        assert w.bit_length() == failing[degree]
+        k, p = degree // 2, (w.bit_length() - 1) // width
+        coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
+        assert (e.details["l"], e.details["e_power"]) == (k - p, p)
+        assert e.details["coefficient"] == sorted(d.module.names(coeff.mask))
+
+
 def random_table(rng, sq1=True):
     """A structurally parsed descriptor with a random Sq table. Squares may
     break instability or land in the wrong degree; with sq1 False no Sq^1
@@ -231,8 +283,7 @@ def test_corollary_matches_the_reference_on_random_tables(rng):
     d = random_table(rng, sq1=False)
     samples, seed = rng.randint(1, 60), rng.randrange(1 << 16)
     got = corollary_check(d, samples=samples, seed=seed)
-    want = corollary_by_xor(d, kernel_generators(d), samples, seed)
-    assert got.entries == want.entries
+    assert_corollary_exact(d, kernel_generators(d), got, samples, seed)
 
 
 def planted_pool(rng, d):
@@ -268,7 +319,7 @@ def test_corollary_matches_the_reference_on_colliding_pools(rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
         got = corollary_check(d, samples=samples, seed=seed)
-    assert got.entries == corollary_by_xor(d, gens, samples, seed).entries
+    assert_corollary_exact(d, gens, got, samples, seed)
 
 
 def test_planted_pools_do_collide_and_fail():
@@ -385,14 +436,14 @@ def test_ranks_and_redundancy_match_a_full_elimination_on_the_ladders(tmp_path):
 
 
 def test_corollary_counts_without_summing_where_no_lead_can_fail():
-    # on p3 (N = 4, n = 3) a degree-2k sample fails iff it leads at an
+    # on p3 (N = 4, n = 3) a degree-2k element fails iff it leads at an
     # e-power p with 2(k - p) > k
     d = catalog_get("p3")
 
     def gen(degree, mask, j):
         return KernelGenerator(1, "h", j, degree, mask)
 
-    # degree 4: leads e^2 and e*h (p = 2, 1), so no sample can fail;
+    # degree 4: leads e^2 and e*h (p = 2, 1), so no combination can fail;
     # degree 8: leads e^2*h2 (p = 2, passes) and e*h3 (p = 1, fails)
     safe = [gen(4, 1 << 8 | 1 << 2, 0), gen(4, 1 << 5, 1)]
     mixed = [gen(8, 1 << 10, 0), gen(8, 1 << 7, 1)]
@@ -400,10 +451,9 @@ def test_corollary_counts_without_summing_where_no_lead_can_fail():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
         got = corollary_check(d, samples=200, seed=0)
-    assert got.entries == corollary_by_xor(d, gens, 200, 0).entries
-    assert got.failures and all(e.details["degree"] == 8 and e.details["l"] == 3
-                                and e.details["combination"] == [(1, "h", 1)]
-                                for e in got.failures)
+    assert_corollary_exact(d, gens, got, 200, 0)
+    assert [(e.details["degree"], e.details["l"], e.details["combination"])
+            for e in got.failures] == [(8, 3, [(1, "h", 1)])]
 
 
 def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
@@ -416,30 +466,37 @@ def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
         got = corollary_check(d, samples=200, seed=0)
-    assert got.entries == corollary_by_xor(d, gens, 200, 0).entries
-    assert got.failures and all(
-        e.details["e_power"] == 1 and e.details["coefficient"] == ["h3"]
-        and e.details["combination"] == [(1, "h", 0), (1, "h", 1)]
-        for e in got.failures)
+    assert_corollary_exact(d, gens, got, 200, 0)
+    assert [e.details for e in got.failures] == [
+        {"degree": 8, "l": 3, "e_power": 1, "coefficient": ["h3"],
+         "combination": [(1, "h", 0), (1, "h", 1)]}]
 
 
-def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
-    # on p3 (N = 4, n = 3) the pools of degrees 4 and 8 can each fail, and
-    # their generators are interleaved in the list. Degree 8 fails in two
-    # of the 8 samples, through e*h3 = X + Y = Y + Z, while degree 4 is
-    # drawn twice and both times picks e*h alone, which passes; degree 0
-    # is never drawn and cannot fail
-    d = catalog_get("p3")
-
+def interleaved_p3_pool():
+    """On p3 (N = 4, n = 3) the pools of degrees 4 and 8 each fail, and
+    their generators are interleaved in the list. Degree 4 holds
+    h2 = (e*h + h2) + e*h, and degree 8 holds e*h3 = X + Y = Y + Z; degree
+    0 cannot fail."""
     def bit(p, i):  # e^p times class i
         return 1 << 4 * p + i
 
-    gens = [KernelGenerator(1, "h2", 1, 8, bit(2, 2) | bit(1, 3)),  # X
+    return [KernelGenerator(1, "h2", 1, 8, bit(2, 2) | bit(1, 3)),  # X
             KernelGenerator(1, "h", 0, 4, bit(1, 1) | bit(0, 2)),
             KernelGenerator(1, "1", 0, 0, bit(0, 0)),
             KernelGenerator(2, "h2", 0, 8, bit(2, 2)),  # Y
             KernelGenerator(1, "h", 1, 4, bit(1, 1)),
             KernelGenerator(3, "h3", 2, 8, bit(2, 2) | bit(1, 3))]  # Z
+
+
+INTERLEAVED_FAILURES = [
+    (4, [(1, "h", 0), (1, "h", 1)]), (8, [(1, "h2", 1), (2, "h2", 0)])]
+
+
+def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
+    # at seed 33 with 8 samples, degree 4 is drawn twice and both times
+    # picks e*h alone, which passes; the verdict does not depend on it
+    d = catalog_get("p3")
+    gens = interleaved_p3_pool()
     calls = []
 
     def listed(d):
@@ -449,13 +506,27 @@ def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", listed)
         got = corollary_check(d, samples=8, seed=33)
-    assert got.entries == corollary_by_xor(d, gens, 8, 33).entries
+    assert_corollary_exact(d, gens, got, 8, 33)
     assert [(e.details["degree"], e.details["combination"])
-            for e in got.failures] == [
-        (8, [(1, "h2", 1), (2, "h2", 0)]), (8, [(2, "h2", 0), (3, "h3", 2)])]
-    # one read for the pools, then one for each degree that can fail and
-    # was drawn with a nonempty pick: 8 and 4
+            for e in got.failures] == INTERLEAVED_FAILURES
+    # one read for the pools, then one for each failing degree: 4 and 8
     assert len(calls) == 3
+
+
+def test_a_planted_failing_pool_fails_for_every_seed_and_sample_count():
+    # the verdict comes from the echelon form, not from the samples drawn
+    gens = interleaved_p3_pool()
+    want = [(FAIL, degree, combination)
+            for degree, combination in INTERLEAVED_FAILURES]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "kernel_generators", lambda d: gens)
+        for seed in range(200):
+            for samples in (1, 8, 200):
+                got = corollary_check(catalog_get("p3"), samples=samples,
+                                      seed=seed)
+                assert [(e.status, e.details["degree"],
+                         e.details["combination"])
+                        for e in got.entries] == want, (seed, samples)
 
 
 @pytest.mark.parametrize("name, parities", [("k3", 1), ("enriques_x", 2)])

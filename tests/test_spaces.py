@@ -294,6 +294,22 @@ def test_the_sq_table_is_stored_once_by_class_index():
     assert not hasattr(UnstableModule, "_squares")
 
 
+def test_equal_stored_masks_are_one_object():
+    # a compact surface with Sq^2 c_i = t and c_i c_i = t: every stored
+    # mask is the top class, an int beyond the small-int cache, kept once
+    c = [f"c{i}" for i in range(300)]
+    m = load_descriptor(json.dumps({
+        "name": "cupsurf", "complex_dimension": 2, "compact": True,
+        "classes": [{"name": "1", "degree": 0}]
+        + [{"name": x, "degree": 2} for x in c] + [{"name": "t", "degree": 4}],
+        "sq": [{"k": 2, "from": x, "to": ["t"]} for x in c],
+        "cup": [{"a": x, "b": x, "result": ["t"]} for x in c]})).module
+    masks = [m.sq[i][2] for i in range(1, 301)]
+    masks += [m.cup[i, i] for i in range(1, 301)]
+    assert masks[0] == 1 << 301
+    assert all(mask is masks[0] for mask in masks)
+
+
 def test_names_stay_at_the_edges():
     # loading, the suite and the exact row read classes by index only; the
     # name -> index map is built by basis_vector, for callers that hold names

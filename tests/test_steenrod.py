@@ -271,9 +271,23 @@ def dense_validate(m):
                         f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
 
     square = cache(lambda i, k: sq(m, k, F2Vector(m.basis[i][1], 1 << i)))
+    unit = next((t for t, (_, deg) in enumerate(m.basis) if deg == 0), None)
 
     def times(v, w):
-        return F2Vector(v.degree + w.degree, m.cup_product(v.mask, w.mask))
+        # bilinear over the bits and read from m.cup by the sorted pair,
+        # without cup_product: the unit is the identity, and a product of
+        # classes whose degrees add up to more than the top degree is zero
+        acc = 0
+        right = [t for t, b in enumerate(members) if w.mask & b]
+        for s in [s for s, a in enumerate(members) if v.mask & a]:
+            for t in right:
+                if s == unit:
+                    acc ^= members[t]
+                elif t == unit:
+                    acc ^= members[s]
+                elif m.basis[s][1] + m.basis[t][1] <= m.top_degree:
+                    acc ^= m.cup.get((min(s, t), max(s, t)), 0)
+        return F2Vector(v.degree + w.degree, acc)
 
     if m.cup is None:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
@@ -414,8 +428,7 @@ def test_squares_beyond_instability_as_the_dense_reference_reads_them():
 
 
 def test_a_stored_product_above_the_top_degree_is_zero():
-    # h cup h lands in degree 4 > top = 2, so it multiplies to zero; the
-    # dense reference calls cup_product and cannot catch this rule's loss
+    # h cup h lands in degree 4 > top = 2, so it multiplies to zero
     m = _named(1, (("1", 0), ("h", 2)), sq=[],
                cup=[{"a": "h", "b": "h", "result": ["h"]}])
     assert m.cup_product(0b10, 0b10) == 0
