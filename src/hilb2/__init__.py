@@ -9,6 +9,8 @@ from the exceptional divisor and, for torsion-free inputs, the integral
 homology of the symmetric square.
 """
 
+from types import ModuleType as _ModuleType
+
 from .betti import (
     GroupProfile,
     NegativeRank,
@@ -56,54 +58,8 @@ from .verify import check_duality, check_euler, known_answers, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BettiTable",
-    "DescriptorError",
-    "F2Vector",
-    "GroupProfile",
-    "IntegralFlags",
-    "InvalidDescriptor",
-    "KernelGenerator",
-    "ManifoldDescriptor",
-    "NegativeRank",
-    "Report",
-    "Sq1NotZero",
-    "TorsionFlagRequired",
-    "UnknownCatalogName",
-    "UnknownClass",
-    "UnstableModule",
-    "adem_expand",
-    "betti_config",
-    "betti_exceptional",
-    "betti_hilb2_closed",
-    "betti_hilb2_exact",
-    "betti_of_x",
-    "betti_sym2_f2",
-    "boundary_no_b",
-    "boundary_with_b",
-    "catalog_get",
-    "catalog_names",
-    "catalog_text",
-    "check_duality",
-    "check_euler",
-    "coefficient",
-    "corollary_check",
-    "descriptor_to_json",
-    "descriptor_violations",
-    "format_exclass",
-    "from_base",
-    "hilb_restriction",
-    "integral_sym2",
-    "is_sq1_zero",
-    "kernel_dimensions",
-    "kernel_generators",
-    "known_answers",
-    "load_descriptor",
-    "parse_descriptor",
-    "redundant_degrees",
-    "run_suite",
-    "span_dims_by_degree",
-    "sq",
-    "validate_module",
-    "__version__",
-]
+# the imports above are the list of exports: every public name they bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))
+__all__.append("__version__")

@@ -63,9 +63,9 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
 
     The stored nonzero squares of u are read once, so the cost follows them
     and not the length of the ladder. For a single basis class they are its
-    stored row, read in place; only a sum of classes is added up. A term at
-    e-power n or above needs t >= n, so the degree is at least 4n, above the
-    top degree 4n - 2 of E, and the ladder is zero.
+    stored row, read in place; only a sum of classes is added up. A ladder
+    above the top degree 4n - 2 of E is zero; otherwise 4t <= degree <=
+    4n - 2, so every term has e-power t - i <= t <= n - 1.
     """
     m = d.module
     width = len(m.basis)
@@ -73,22 +73,19 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
         raise UnknownClass(f"bit {u.mask.bit_length() - 1} is not a basis class")
     t = (u.degree - s) // 2
     degree = u.degree + s + 2 * t
+    if degree > 4 * d.n - 2:
+        return F2Vector(degree)
     if u.mask & (u.mask - 1):
         squares = steenrod._squares_of(m.sq, u.mask, u.degree)
     else:
         squares = m.sq.get(u.mask.bit_length() - 1, {})
     mask = u.mask << t * width if not s and t >= 0 else 0  # Sq^0 u = u
-    if mask and t >= d.n:
-        return F2Vector(degree)
     for k, val in squares.items():
         i, odd = divmod(k - s, 2)
         # Sq^k u = 0 for k > deg(u), even where the row of u stores it
         if not val or odd or not 0 <= i <= t or k > max(u.degree, 0):
             continue
-        power = t - i
-        if power >= d.n:
-            return F2Vector(degree)
-        mask |= val << power * width
+        mask |= val << (t - i) * width
     return F2Vector(degree, mask)
 
 

@@ -20,7 +20,9 @@ basis_vector(name) reads one, and names(mask) and unit() print them.
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
 symmetric multiplication table: pairs that are not stored multiply to zero,
-and cup_product reads a stored product above the top degree as zero.
+and a stored product above the top degree reads as zero. cup_product checks
+its input; the square rule and the Cartan sum multiply masks from the tables
+through the same lookup without those checks.
 
 Validation visits only the stored squares and cup entries, not (2n)^3 or
 the basis; but a stored mask that holds class i is i + 1 bits wide, so the
@@ -105,6 +107,10 @@ class UnstableModule:
             raise ValueError("module has no cup table")
         if (v | w) >> len(self.basis):
             raise UnknownClass(f"bit {(v | w).bit_length() - 1} is not a basis class")
+        return self._times(v, w)
+
+    def _times(self, v: int, w: int) -> int:
+        """cup_product without its input checks, for masks from the tables."""
         u, acc = self._unit_bit, 0
         if (v | w) & u:  # the unit acts as the identity
             acc = (w if v & u else 0) ^ (v & ~u if w & u else 0)
@@ -234,7 +240,7 @@ def validate(m: UnstableModule) -> Report:
             if deg < 1:
                 continue
             left = m.sq.get(i, {}).get(deg, 0)
-            right = m.cup_product(1 << i, 1 << i)
+            right = m._product(i, i)  # deg >= 1, so i is not the unit
             if left != right:
                 rep.add("square-rule", FAIL,
                         f"Sq^{deg} {name} = {_shown(m, left)} but "
@@ -256,7 +262,7 @@ def validate(m: UnstableModule) -> Report:
             for j, vx in sx.items():
                 for k, vy in sy.items():
                     if j <= dx and k <= dy and j + k:
-                        right[j + k] = right.get(j + k, 0) ^ m.cup_product(vx, vy)
+                        right[j + k] = right.get(j + k, 0) ^ m._times(vx, vy)
             for i in sorted(left.keys() | right.keys()):
                 if left.get(i, 0) != right.get(i, 0):
                     rep.add("cartan", FAIL,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import e_multiply
+from conftest import e_multiply, parse_only
 from hilb2 import (
     betti_exceptional,
     boundary_no_b,
@@ -137,6 +137,18 @@ def test_top_degree_ladder_vanishes():
         d = catalog_get(name)
         top = next(name for name, deg in d.module.basis if deg == 2 * d.n)
         assert boundary_with_b(d, d.module.basis_vector(top)).is_zero()
+
+
+def test_a_ladder_above_the_top_degree_of_e_is_zero():
+    # E has no classes above degree 4n - 2, whatever squares the parse-only
+    # tables store: Sq^3 u = v at n = 1 would give L_1(u) = v in degree 6,
+    # and Sq^1 t = x at n = 2 would give L_1(t) = e*x in degree 7
+    d = parse_only(n=1, degrees=[0, 3, 6],
+                   sq=[{"k": 3, "from": "c1", "to": ["c2"]}])
+    assert boundary_with_b(d, d.module.basis_vector("c1")).is_zero()
+    d = parse_only(n=2, degrees=[0, 4, 5],
+                   sq=[{"k": 1, "from": "c1", "to": ["c2"]}])
+    assert boundary_no_b(d, d.module.basis_vector("c1")).is_zero()
 
 
 def test_ladder_powers_stay_below_a():

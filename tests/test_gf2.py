@@ -39,6 +39,11 @@ def test_zero_vectors_compare_equal_across_degrees():
     assert vec(2, 0) != vec(3, 0)
 
 
+def test_a_vector_is_not_equal_to_its_mask():
+    assert F2Vector(2, 1).__eq__(1) is NotImplemented
+    assert vec(2) != 0 and vec(2, 0) != 1
+
+
 def test_adding_zero_ignores_its_degree():
     a = vec(3, 4)
     assert a + vec(7) == a

@@ -1,13 +1,18 @@
-"""Every name a hilb2 module imports is used in that module.
+"""Every name a hilb2 module imports is used in that module, and the
+package exports exactly the names its __init__ imports.
 
 Read with the standard-library ast module only. The package __init__ is
-exempt, because it imports names to re-export them.
+exempt from the unused-import check, because it imports names to
+re-export them.
 """
 
 import ast
 import os
+import types
 
 import pytest
+
+import hilb2
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "hilb2")
@@ -39,3 +44,17 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_import(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], module
+
+
+def test_the_package_exports_exactly_what_its_init_imports():
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert hilb2.__all__ == sorted(imported) + ["__version__"]
+    star = {}
+    exec("from hilb2 import *", star)
+    assert star.keys() - {"__builtins__"} == set(hilb2.__all__)
+    assert not [name for name in hilb2.__all__
+                if isinstance(getattr(hilb2, name), types.ModuleType)]

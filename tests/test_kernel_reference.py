@@ -53,6 +53,8 @@ def rank_by_lowest_bit(rows):
 
 def ladder_by_sq(d, u, top_power, first_sq, degree):
     width = len(d.module.basis)
+    if degree > 4 * d.n - 2:  # E has no classes above degree 4n - 2
+        return F2Vector(degree)
     mask = 0
     for i in range(top_power + 1):
         power = top_power - i
@@ -60,8 +62,6 @@ def ladder_by_sq(d, u, top_power, first_sq, degree):
         if val.is_zero():
             continue
         if power >= d.n:
-            if degree > 4 * d.n - 2:
-                return F2Vector(degree)
             raise OutOfRange(f"ladder term e^{power} exceeds e^{d.n - 1}")
         mask |= val.mask << power * width
     return F2Vector(degree, mask)

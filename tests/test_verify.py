@@ -24,13 +24,20 @@ from hilb2 import (
     spaces,
     steenrod,
 )
-from hilb2.report import FAIL
+from hilb2.report import FAIL, Report
 
 
 def entry(rep, check):
     hits = [e for e in rep.entries if e.check == check]
     assert hits, f"no entry for {check}"
     return hits[-1]
+
+
+def test_a_report_rejects_an_unknown_status():
+    rep = Report()
+    with pytest.raises(ValueError, match="unknown status 'ok'"):
+        rep.add("duality", "ok")
+    assert rep.entries == []
 
 
 def test_check_duality_pass_and_fail():
