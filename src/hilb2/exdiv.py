@@ -165,11 +165,13 @@ def format_exclass(d: ManifoldDescriptor, c: F2Vector) -> str:
     """Render as e-power terms, leading power first: 'e^2*h + e*(a+b) + c'.
 
     Names within a coefficient are sorted; the unit coefficient of d prints
-    as a bare power of e.
+    as a bare power of e. A bit at or above n*N raises UnknownClass.
     """
+    width = len(d.module.basis)
+    if c.mask >> d.n * width:
+        raise UnknownClass(f"bit {c.mask.bit_length() - 1} is not a class of E")
     if c.is_zero():
         return "0"
-    width = len(d.module.basis)
     parts = []
     rest = c.mask
     while rest:  # visit only the nonzero e-powers, highest first

@@ -15,7 +15,8 @@ stored row is the mask of Sq^k of a basis class or of the product of two
 basis classes. Sq^0 and products with the unit are implicit, so a class
 with no stored square or product has no row. The unit, the first degree-0
 class, is read by its bit too. Names appear only at the edges:
-basis_vector(name) reads one, and names(mask) and unit() print them.
+basis_vector(name) reads one, names(mask) and unit() print them, and an
+unknown name or a bit outside the basis raises UnknownClass.
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
@@ -82,6 +83,8 @@ class UnstableModule:
 
     def names(self, mask: int) -> tuple:
         """The basis classes of a mask, in declaration order."""
+        if mask >> len(self.basis):
+            raise UnknownClass(f"bit {mask.bit_length() - 1} is not a basis class")
         return tuple(self.basis[i][0] for i in _bits(mask))
 
     def unit(self) -> str | None:

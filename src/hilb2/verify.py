@@ -4,11 +4,11 @@ known-answer database.
 
 Every check yields one report entry, but the corollary, decided exactly
 from the kernel's echelon form, gives one FAIL per failing degree with the
-combination its augmented elimination finds, and shows its sample count
-only when it passes; a loaded Sq^1 = 0 descriptor cannot fail it (see
-kernel.corollary_check). Checks whose hypotheses fail are recorded as
-notes rather than silently skipped, so a report always shows the same set
-of check names for a given kind of input.
+combination its augmented elimination finds; a loaded Sq^1 = 0 descriptor
+cannot fail it (see kernel.corollary_check). No check draws anything at
+random, so the report depends on the descriptor alone. Checks whose
+hypotheses fail are recorded as notes rather than silently skipped, so a
+report always shows the same set of check names for a given kind of input.
 """
 
 from __future__ import annotations
@@ -89,11 +89,9 @@ def known_answers(d: ManifoldDescriptor, table: BettiTable) -> Report:
     return rep
 
 
-def run_suite(d: ManifoldDescriptor, seed: int = 0,
-              samples: int = 200) -> Report:
-    """Run every applicable check; deterministic for a fixed (d, seed)."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+def run_suite(d: ManifoldDescriptor, seed: int = 0) -> Report:
+    """Run every applicable check. The report depends on d alone: seed is
+    accepted for existing callers and ignored."""
     rep = Report()
 
     violations = spaces.descriptor_violations(d)
@@ -145,7 +143,7 @@ def run_suite(d: ManifoldDescriptor, seed: int = 0,
                 "not flagged torsion-free; integral profile unavailable")
 
     if sq1_zero:
-        rep.extend(kernel.corollary_check(d, samples=samples, seed=seed))
+        rep.extend(kernel.corollary_check(d))
     else:
         rep.add("corollary", NOTE, "Sq^1 != 0; divisibility corollary skipped")
 

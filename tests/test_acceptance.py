@@ -265,7 +265,7 @@ def test_criterion_09_axiom_suite_and_mutants():
 def test_criterion_10_corollary_sampling():
     problems = []
     for name in ("p2", "p3", "k3"):
-        rep = corollary_check(catalog_get(name), samples=1000, seed=0)
+        rep = corollary_check(catalog_get(name))
         if not rep.ok:
             problems.append((name, [e.details for e in rep.failures]))
     _announce(10, "divisibility corollary sampling", not problems)

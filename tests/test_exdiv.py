@@ -65,6 +65,17 @@ def test_boundary_of_a_bit_outside_the_basis_raises():
     assert exc.value.args == ("bit 3 is not a basis class",)
 
 
+def test_format_exclass_of_a_bit_outside_e_raises():
+    # H*(E) of p2 (n = 2, N = 3) holds only 1 and e, bits 0 to 5: bit 10
+    # would be e^3*h and bit 6 e^2
+    d = catalog_get("p2")
+    assert format_exclass(d, F2Vector(4, 1 << 4 | 1 << 2)) == "e*h + h2"
+    for bit in (6, 10):
+        with pytest.raises(UnknownClass) as exc:
+            format_exclass(d, F2Vector(4, 1 << bit))
+        assert exc.value.args == (f"bit {bit} is not a class of E",)
+
+
 def test_boundary_no_b_on_odd_class_starts_with_base_term():
     # deg(u) = 2a+1 gives sum e^(a-i) Sq^(2i) u, whose i = 0 term is e^a u
     d = catalog_get("enriques_x")

@@ -2,15 +2,14 @@
 
 The references do the plain thing at every step: elimination on the lowest
 set bit, one sq() call per ladder term, every e^j generator by repeated
-e_multiply (zero ladders listed too), a corollary verdict from every nonzero
-combination of each even pool, and a corollary sample count that draws one
-getrandbits(1) per generator. The library reads the stored squares once,
-skips the odd-square ladders when no odd square is stored, builds the
-ladder of a class without a stored square directly, shifts each ladder's
-bits, pivots on leading bits, decides the corollary from each degree's
-lowest pivot, and draws a sample's degree inline and its picks in one
-call; on random Sq tables, Sq^1 != 0 included, on planted generator pools
-and on the benchmark's input ladders, both must give the same answers.
+e_multiply (zero ladders listed too), and a corollary verdict from every
+nonzero combination of each even pool. The library reads the stored
+squares once, skips the odd-square ladders when no odd square is stored,
+builds the ladder of a class without a stored square directly, shifts each
+ladder's bits, pivots on leading bits, and decides the corollary from each
+degree's lowest pivot; on random Sq tables, Sq^1 != 0 included, on planted
+generator pools and on the benchmark's input ladders, both must give the
+same answers.
 """
 
 import json
@@ -29,7 +28,7 @@ from hilb2 import (catalog_get, catalog_text, corollary_check, exdiv, kernel,
                    redundant_degrees)
 from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
-from hilb2.report import FAIL, PASS, Report
+from hilb2.report import FAIL, PASS, Entry
 from hilb2.spaces import parse_descriptor
 from hilb2.steenrod import sq
 
@@ -87,46 +86,6 @@ def generators_by_e_multiply(d):
     return out
 
 
-def corollary_by_xor(d, gens, samples, seed):
-    """The sampled divisibility check, summing every picked combination."""
-    by_degree = {}
-    for g in gens:
-        if not g.is_zero and g.degree % 2 == 0:
-            by_degree.setdefault(g.degree, []).append(g)
-    rep = Report()
-    if not by_degree:
-        rep.add("corollary", PASS, "no even-degree kernel generators; vacuous")
-        return rep
-    rng = random.Random(seed)
-    width = len(d.module.basis)
-    degrees = sorted(by_degree)
-    tested = 0
-    for _ in range(samples):
-        degree = degrees[rng.randrange(len(degrees))]
-        picked = [g for g in by_degree[degree] if rng.getrandbits(1)]
-        if not picked:
-            continue
-        w = 0
-        for g in picked:
-            w ^= g.mask
-        tested += 1
-        if not w:
-            continue
-        k = degree // 2
-        p = (w.bit_length() - 1) // width
-        if 2 * (k - p) > k:
-            coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
-            rep.add("corollary", FAIL, {
-                "degree": degree, "l": k - p, "e_power": p,
-                "coefficient": sorted(d.module.names(coeff.mask)),
-                "combination": [(g.family, g.source, g.j) for g in picked],
-            })
-    if rep.ok:
-        rep.add("corollary", PASS,
-                f"{tested} sampled combinations satisfied the constraint")
-    return rep
-
-
 def corollary_by_span(d, gens):
     """degree -> lowest leading bit of the span, for each even degree where
     some nonzero combination of the generators breaks the constraint; every
@@ -149,14 +108,48 @@ def corollary_by_span(d, gens):
     return failing
 
 
-def assert_corollary_exact(d, gens, got, samples, seed):
-    """got fails in exactly the degrees corollary_by_span finds, once each,
-    with a combination, in list order, whose sum has the reported e-power
-    and coefficient and the lowest leading bit of its span; where nothing
-    fails it is corollary_by_xor's PASS."""
-    failing = corollary_by_span(d, gens)
+def corollary_by_rank(d, gens):
+    """corollary_by_span for pools too large to enumerate. Some element of
+    a span has bit length at most b iff dropping the b lowest bits of every
+    row loses rank, so the lowest leading bit is the least such b, found by
+    bisection over rank_by_lowest_bit."""
+    width = len(d.module.basis)
+    by_degree = {}
+    for g in gens:
+        if g.degree % 2 == 0:
+            by_degree.setdefault(g.degree, []).append(g.mask)
+    failing = {}
+    for degree, masks in sorted(by_degree.items()):
+        rank = rank_by_lowest_bit(masks)
+        if not rank:
+            continue
+        lo, hi = 1, max(masks).bit_length()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rank_by_lowest_bit([m >> mid for m in masks]) < rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        k = degree // 2
+        if 2 * (k - (lo - 1) // width) > k:
+            failing[degree] = lo
+    return failing
+
+
+def assert_corollary_exact(d, gens, got, reference=corollary_by_span):
+    """got fails in exactly the degrees the reference (corollary_by_span
+    unless given) finds, once each, with a combination, in list order,
+    whose sum has the reported e-power and coefficient and the lowest
+    leading bit of its span; where nothing fails it is one PASS that counts
+    the even degrees holding a nonzero generator, or the vacuous PASS where
+    there are none."""
+    failing = reference(d, gens)
     if not failing:
-        assert got.entries == corollary_by_xor(d, gens, samples, seed).entries
+        even = {g.degree for g in gens if g.mask and g.degree % 2 == 0}
+        want = ("every even degree's lowest pivot satisfies the constraint; "
+                f"even degrees: {len(even)}" if even
+                else "no even-degree kernel generators; vacuous")
+        assert got.entries == [Entry("corollary", PASS, want)]
         return
     assert [e.details["degree"] for e in got.entries] == sorted(failing)
     assert all(e.status == FAIL for e in got.entries)
@@ -281,9 +274,8 @@ def test_leading_bit_rank_eliminates_shared_leading_bits():
 @given(rng=st.randoms(use_true_random=False))
 def test_corollary_matches_the_reference_on_random_tables(rng):
     d = random_table(rng, sq1=False)
-    samples, seed = rng.randint(1, 60), rng.randrange(1 << 16)
-    got = corollary_check(d, samples=samples, seed=seed)
-    assert_corollary_exact(d, kernel_generators(d), got, samples, seed)
+    got = corollary_check(d)
+    assert_corollary_exact(d, kernel_generators(d), got)
 
 
 def planted_pool(rng, d):
@@ -315,11 +307,18 @@ def planted_pool(rng, d):
 def test_corollary_matches_the_reference_on_colliding_pools(rng):
     d = random_table(rng, sq1=False)
     gens = planted_pool(rng, d)
-    samples, seed = rng.randint(1, 40), rng.randrange(1 << 16)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
-        got = corollary_check(d, samples=samples, seed=seed)
-    assert_corollary_exact(d, gens, got, samples, seed)
+        got = corollary_check(d)
+    assert_corollary_exact(d, gens, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_the_rank_reference_matches_the_span_reference(rng):
+    d = random_table(rng, sq1=False)
+    for gens in (kernel_generators(d), planted_pool(rng, d)):
+        assert corollary_by_rank(d, gens) == corollary_by_span(d, gens)
 
 
 def test_planted_pools_do_collide_and_fail():
@@ -335,43 +334,8 @@ def test_planted_pools_do_collide_and_fail():
         collided += any(count > 1 for count in leads.values())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "kernel_generators", lambda d: gens)
-            failed += not corollary_check(d, samples=20, seed=seed).ok
+            failed += not corollary_check(d).ok
     assert collided > 30 and failed > 30
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 1 << 32), size=st.integers(1, 700),
-       warm=st.integers(0, 32 * 700))
-def test_one_wide_draw_equals_one_bit_draws(seed, size, warm):
-    # warm moves the draw across the generator's 624-word refills
-    wide, narrow = random.Random(seed), random.Random(seed)
-    wide.getrandbits(warm)
-    narrow.getrandbits(warm)
-    word = wide.getrandbits(32 * size)
-    assert [word >> 32 * i + 31 & 1 for i in range(size)] == [
-        narrow.getrandbits(1) for _ in range(size)]
-    assert wide.getstate() == narrow.getstate()
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 1 << 32), count=st.integers(1, 700),
-       warm=st.integers(0, 32 * 700), draws=st.integers(1, 20))
-def test_inline_degree_draw_equals_randrange(seed, count, warm, draws):
-    # corollary_check draws its degree index as getrandbits(k), k the bit
-    # length of count, again while the draw is count or more; this is what
-    # randrange(count) returns, and it leaves the generator in the same state
-    inline, library = random.Random(seed), random.Random(seed)
-    inline.getrandbits(warm)
-    library.getrandbits(warm)
-    k = count.bit_length()
-    got = []
-    for _ in range(draws):
-        r = inline.getrandbits(k)
-        while r >= count:
-            r = inline.getrandbits(k)
-        got.append(r)
-    assert got == [library.randrange(count) for _ in range(draws)]
-    assert inline.getstate() == library.getstate()
 
 
 def test_corollary_matches_the_reference_on_the_benchmark_ladders(tmp_path):
@@ -386,11 +350,8 @@ def test_corollary_matches_the_reference_on_the_benchmark_ladders(tmp_path):
             even = {g.degree for g in gens if g.degree % 2 == 0}
             most_degrees = max(most_degrees, len(even))
             most_generators = max(most_generators, len(gens))
-            for seed in range(3):
-                for samples in (1, 37, 400):
-                    got = corollary_check(d, samples=samples, seed=seed)
-                    want = corollary_by_xor(d, gens, samples, seed)
-                    assert got.entries == want.entries, (desc["name"], seed)
+            assert_corollary_exact(d, gens, corollary_check(d),
+                                   reference=corollary_by_rank)
     assert most_degrees >= 60 and most_generators > 100
 
 
@@ -413,7 +374,7 @@ def test_no_degree_can_fail_on_a_loaded_descriptor(tmp_path):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "kernel_generators", listed)
-            assert corollary_check(d, samples=400, seed=1).ok, desc["name"]
+            assert corollary_check(d).ok, desc["name"]
         assert len(calls) == 1, desc["name"]
 
 
@@ -450,8 +411,8 @@ def test_corollary_counts_without_summing_where_no_lead_can_fail():
     gens = safe + mixed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
-        got = corollary_check(d, samples=200, seed=0)
-    assert_corollary_exact(d, gens, got, 200, 0)
+        got = corollary_check(d)
+    assert_corollary_exact(d, gens, got)
     assert [(e.details["degree"], e.details["l"], e.details["combination"])
             for e in got.failures] == [(8, 3, [(1, "h", 1)])]
 
@@ -465,8 +426,8 @@ def test_corollary_fails_where_only_a_sum_of_generators_breaks_it():
             for j, mask in enumerate((1 << 10 | 1 << 7, 1 << 10))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
-        got = corollary_check(d, samples=200, seed=0)
-    assert_corollary_exact(d, gens, got, 200, 0)
+        got = corollary_check(d)
+    assert_corollary_exact(d, gens, got)
     assert [e.details for e in got.failures] == [
         {"degree": 8, "l": 3, "e_power": 1, "coefficient": ["h3"],
          "combination": [(1, "h", 0), (1, "h", 1)]}]
@@ -493,8 +454,6 @@ INTERLEAVED_FAILURES = [
 
 
 def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
-    # at seed 33 with 8 samples, degree 4 is drawn twice and both times
-    # picks e*h alone, which passes; the verdict does not depend on it
     d = catalog_get("p3")
     gens = interleaved_p3_pool()
     calls = []
@@ -505,8 +464,8 @@ def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", listed)
-        got = corollary_check(d, samples=8, seed=33)
-    assert_corollary_exact(d, gens, got, 8, 33)
+        got = corollary_check(d)
+    assert_corollary_exact(d, gens, got)
     assert [(e.details["degree"], e.details["combination"])
             for e in got.failures] == INTERLEAVED_FAILURES
     # one read for the pools, then one for each failing degree: 4 and 8
@@ -514,19 +473,16 @@ def test_a_degree_that_can_fail_collects_its_generators_in_list_order():
 
 
 def test_a_planted_failing_pool_fails_for_every_seed_and_sample_count():
-    # the verdict comes from the echelon form, not from the samples drawn
+    # the verdict comes from the echelon form alone: no seed or sample
+    # count is left to change it, and every entry is a FAIL
     gens = interleaved_p3_pool()
     want = [(FAIL, degree, combination)
             for degree, combination in INTERLEAVED_FAILURES]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "kernel_generators", lambda d: gens)
-        for seed in range(200):
-            for samples in (1, 8, 200):
-                got = corollary_check(catalog_get("p3"), samples=samples,
-                                      seed=seed)
-                assert [(e.status, e.details["degree"],
-                         e.details["combination"])
-                        for e in got.entries] == want, (seed, samples)
+        got = corollary_check(catalog_get("p3"))
+    assert [(e.status, e.details["degree"], e.details["combination"])
+            for e in got.entries] == want
 
 
 @pytest.mark.parametrize("name, parities", [("k3", 1), ("enriques_x", 2)])

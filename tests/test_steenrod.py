@@ -83,6 +83,16 @@ def test_cup_product_of_a_bit_outside_the_basis_raises():
             m.cup_product(v, w)
 
 
+def test_names_of_a_bit_outside_the_basis_raises():
+    m = catalog_get("p2").module  # three classes
+    assert m.names(0b101) == ("1", "h2")
+    for mask in (1 << 3, 0b1 | 1 << 10):
+        with pytest.raises(UnknownClass) as exc:
+            m.names(mask)
+        assert exc.value.args == (
+            f"bit {mask.bit_length() - 1} is not a basis class",)
+
+
 def test_cup_product_without_a_cup_table_raises():
     m = catalog_get("k3").module  # k3 stores no cup table
     with pytest.raises(ValueError) as exc:

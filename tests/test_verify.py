@@ -1,11 +1,14 @@
 """The consistency suite and its individual checks."""
 
+import json
+import os
 import sys
 from collections import Counter
 
 import pytest
 
 from conftest import make_descriptor
+import hilb2
 from hilb2 import (
     BettiTable,
     betti,
@@ -25,6 +28,10 @@ from hilb2 import (
     steenrod,
 )
 from hilb2.report import FAIL, Report
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import workloads  # noqa: E402  (the benchmark's deep and wide input ladders)
 
 
 def entry(rep, check):
@@ -121,19 +128,16 @@ def test_universal_coefficients_failure_quotes_both_rows(monkeypatch):
     })
 
 
-def test_run_suite_rejects_samples_below_one():
-    # enriques_x skips the corollary (Sq^1 != 0), so run_suite checks itself
-    for name in ("p2", "enriques_x"):
-        for samples in (0, -5):
-            with pytest.raises(ValueError, match="samples must be at least 1"):
-                run_suite(catalog_get(name), samples=samples)
-
-
-def test_run_suite_is_deterministic():
-    a = run_suite(catalog_get("p3"), seed=4, samples=64)
-    b = run_suite(catalog_get("p3"), seed=4, samples=64)
-    assert [(e.check, e.status, str(e.details)) for e in a.entries] == \
-        [(e.check, e.status, str(e.details)) for e in b.entries]
+def test_run_suite_ignores_its_seed(tmp_path):
+    # the smallest deep and wide benchmark rungs, P^8 and K3, each loaded
+    # afresh per seed so that no call reads another's cached kernel
+    for workload in ("deep", "wide"):
+        desc = workloads.build(workload, hilb2, 0, str(tmp_path))[0][0]
+        reports = [run_suite(load_descriptor(json.dumps(desc)), seed=seed)
+                   for seed in range(5)]
+        assert reports[0].ok and "corollary" in reports[0].statuses()
+        assert all(r.entries == reports[0].entries for r in reports), \
+            desc["name"]
 
 
 def test_run_suite_reports_invalid_descriptors_and_stops():
