@@ -61,9 +61,8 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
     """L_s(u) = sum_{i=0}^{t} e^(t - i) Sq^(s + 2i) u, t = (deg(u) - s) // 2,
     in degree deg(u) + s + 2t.
 
-    The stored nonzero squares of u are read once, so the cost follows them
-    and not the length of the ladder. For a single basis class they are its
-    stored row, read in place; only a sum of classes is added up. A ladder
+    The stored squares of u are read once, through steenrod._squares_of,
+    so the cost follows them and not the length of the ladder. A ladder
     above the top degree 4n - 2 of E is zero; otherwise 4t <= degree <=
     4n - 2, so every term has e-power t - i <= t <= n - 1.
     """
@@ -75,17 +74,11 @@ def _ladder(d: ManifoldDescriptor, u: F2Vector, s: int) -> F2Vector:
     degree = u.degree + s + 2 * t
     if degree > 4 * d.n - 2:
         return F2Vector(degree)
-    if u.mask & (u.mask - 1):
-        squares = steenrod._squares_of(m.sq, u.mask, u.degree)
-    else:
-        squares = m.sq.get(u.mask.bit_length() - 1, {})
     mask = u.mask << t * width if not s and t >= 0 else 0  # Sq^0 u = u
-    for k, val in squares.items():
-        i, odd = divmod(k - s, 2)
-        # Sq^k u = 0 for k > deg(u), even where the row of u stores it
-        if not val or odd or not 0 <= i <= t or k > max(u.degree, 0):
-            continue
-        mask |= val << (t - i) * width
+    # 1 <= k = s + 2i <= deg(u), so 0 <= i <= t
+    for k, val in steenrod._squares_of(m.sq, u.mask, u.degree).items():
+        if k % 2 == s:
+            mask |= val << (t - (k - s) // 2) * width
     return F2Vector(degree, mask)
 
 

@@ -62,7 +62,7 @@ def pivots(rows: Iterable[int]) -> dict[int, int]:
 
     The keys are exactly the leading bits of the nonzero elements of the
     span, since a sum of pivots leads where its top pivot does, and their
-    number is the rank.
+    number is the rank. A negative row raises ValueError.
 
     >>> sorted(pivots([0b011, 0b110, 0b101]))
     [2, 3]
@@ -71,6 +71,8 @@ def pivots(rows: Iterable[int]) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     for row in rows:
+        if row < 0:
+            raise ValueError(f"row {row} is negative, not a mask of set bits")
         while row:
             lead = row.bit_length()
             pivot = out.get(lead)

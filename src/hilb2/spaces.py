@@ -449,6 +449,5 @@ def ladder_counts(d: ManifoldDescriptor,
 
 
 def betti_of_x(d: ManifoldDescriptor) -> BettiTable:
-    """Mod-2 Betti numbers of X itself: one count per basis degree."""
-    return BettiTable("x", 2 * d.n, ladder_counts(d, lambda v: (v,)),
-                      noncompact=not d.compact)
+    """Mod-2 Betti numbers of X itself: the memoized degree count, copied."""
+    return BettiTable("x", 2 * d.n, _degree_counts(d), noncompact=not d.compact)

@@ -31,8 +31,8 @@ cost of one entry grows with the basis size. The square rule and Adem
 checks visit only the classes with a stored row. The Cartan check of a cup
 entry x cup y forms products only for pairs of nonzero squares of x and y,
 and compares the two sides only in the degrees where a stored square makes
-one of them nonzero. The Adem check on a class u tries only the relations
-Sq^a Sq^b u in which some nonzero Sq^x Sq^y u appears.
+one of them nonzero. The Adem check on a class u tries the relations
+Sq^a Sq^b u by total degree, only where some Sq^x Sq^y u of it is nonzero.
 """
 
 from __future__ import annotations
@@ -157,12 +157,7 @@ def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
         raise UnknownClass(f"bit {v.mask.bit_length() - 1} is not a basis class")
     if k == 0:
         return v
-    if k < 0 or k > v.degree:
-        return F2Vector(v.degree + k)
-    acc = 0
-    for i in _bits(v.mask):
-        acc ^= m.sq.get(i, {}).get(k, 0)
-    return F2Vector(v.degree + k, acc)
+    return F2Vector(v.degree + k, _squares_of(m.sq, v.mask, v.degree).get(k, 0))
 
 
 def is_sq1_zero(m: UnstableModule) -> bool:
@@ -201,8 +196,9 @@ def _squares_of(squares: dict, mask: int, degree: int) -> dict[int, int]:
     """{k: Sq^k v} for 1 <= k <= degree, v the vector of that degree with
     this mask; a zero value may be absent or stored as 0.
 
-    Like sq(), this reads a class's stored row for any k up to the degree
-    of the vector, even where that row breaks instability for the class.
+    The one reader that turns stored rows into squares of a vector, for
+    sq(), the E_X ladders and the Cartan and Adem checks. A class's row
+    is read for any k up to deg v, even where it breaks instability.
     """
     out: dict[int, int] = {}
     for i in _bits(mask):
@@ -276,8 +272,10 @@ def validate(m: UnstableModule) -> Report:
     # Adem relations Sq^a Sq^b u for 1 <= a < 2b and a + b <= top; both
     # sides vanish for b > deg u, since then Sq^b u = 0 and Sq^x Sq^y u
     # with x + y = a + b and y < b has x > deg u + y. Each side is a sum of
-    # values Sq^x Sq^y u, so only the pairs (a, b) in which a nonzero one
-    # appears, on the left or as an expansion term, are tried.
+    # values Sq^x Sq^y u with x + y = s = a + b: the left one and the terms
+    # (s - c, c), 2c <= a. So only the totals s of nonzero values are tried,
+    # each with every a, max(1, s - deg u) <= a <= (2s - 1) // 3; a relation
+    # whose values are all zero passes, so trying it adds no FAIL.
     top = m.top_degree
     adem = []
     for i, row in m.sq.items():  # no stored square: every Sq^x Sq^y u is 0
@@ -286,24 +284,16 @@ def validate(m: UnstableModule) -> Report:
         twice = {(x, 0): v for x, v in row.items() if x <= deg}
         twice.update(((x, y), r) for y, v in row.items() if y <= deg
                      for x, r in _squares_of(m.sq, v, deg + y).items() if r)
-        pairs = set()
-        for x, y in twice:
-            if x + y > top:
-                continue
-            if 1 <= y and x < 2 * y:
-                pairs.add((x, y))
-            # Sq^x Sq^y is a term of Sq^a Sq^b when a + b = x + y and
-            # a >= 2y; the pair is tried when b <= deg u and a < 2b
-            for a in range(max(1, 2 * y, x + y - deg), (2 * (x + y) - 1) // 3 + 1):
-                pairs.add((a, x + y - a))
-        for a, b in pairs:
-            left = twice.get((a, b), 0)
-            right = 0
-            for term in adem_expand(a, b):
-                right ^= twice.get(term, 0)
-            if left != right:
-                adem.append((b, a, i, f"Sq^{a} Sq^{b} {name} = {_shown(m, left)} "
-                                      f"but the Adem expansion gives {_shown(m, right)}"))
+        for total in {x + y for x, y in twice if x + y <= top}:
+            for a in range(max(1, total - deg), (2 * total - 1) // 3 + 1):
+                b = total - a
+                left = twice.get((a, b), 0)
+                right = 0
+                for term in adem_expand(a, b):
+                    right ^= twice.get(term, 0)
+                if left != right:
+                    adem.append((b, a, i, f"Sq^{a} Sq^{b} {name} = {_shown(m, left)} "
+                                          f"but the Adem expansion gives {_shown(m, right)}"))
     for *_, message in sorted(adem):
         rep.add("adem", FAIL, message)
     return rep

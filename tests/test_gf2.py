@@ -1,10 +1,14 @@
 """GF(2) linear algebra: echelon form, ranks, spans, and the vector type."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hilb2
 from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
 
 
@@ -104,3 +108,29 @@ def test_span_dims_invariant_under_permutation_and_row_sums():
         if base[0][1] != base[1][1]:
             mixed = [(2, base[0][1] ^ base[1][1])] + base[1:]
             assert span_dims_by_degree(mixed) == dims
+
+
+NEGATIVE_ROWS = """
+from hilb2 import span_dims_by_degree
+from hilb2.gf2 import pivots
+for call in (lambda: pivots([-2, -3]),
+             lambda: span_dims_by_degree([(0, -2), (0, -3)])):
+    try:
+        call()
+    except ValueError as err:
+        print(err)
+"""
+
+
+def test_a_negative_row_raises_instead_of_reducing_forever():
+    # -3 ^ -2 == 3 and 3 ^ -2 == -3: reducing -3 against the pivot -2 would
+    # cycle, so the calls run in a child process that a timeout can stop
+    src = os.path.dirname(os.path.dirname(hilb2.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", NEGATIVE_ROWS], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the first row is already rejected, before any reduction
+    assert proc.stdout.splitlines() == [
+        "row -2 is negative, not a mask of set bits"] * 2

@@ -510,8 +510,8 @@ def test_odd_square_ladders_only_where_an_odd_square_is_stored(name, parities):
     assert sorted(u.mask.bit_length() - 1 for u in calls) == sorted(
         list(d.module.sq) * parities)
     assert len(calls) == {"k3": 0, "enriques_x": 4}[name]
-    # each ladder is of one basis class, whose stored row is read in place
-    assert summed == []
+    # each ladder reads the stored squares of its class once
+    assert len(summed) == len(calls)
 
 
 def test_an_odd_square_above_sq1_still_builds_family_4():
