@@ -28,10 +28,9 @@ from .exdiv import (
     boundary_with_b,
     coefficient,
     format_exclass,
-    from_base,
     hilb_restriction,
 )
-from .gf2 import F2Vector, span_dims_by_degree
+from .gf2 import span_dims_by_degree
 from .kernel import (
     KernelGenerator,
     corollary_check,

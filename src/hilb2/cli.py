@@ -146,7 +146,7 @@ def cmd_kernel(args) -> int:
             if args.degree is not None and g.degree != args.degree:
                 continue
             print(f"degree {g.degree}: family {g.family}, u={g.source}, "
-                  f"j={g.j}: {exdiv.format_exclass(d, g.value)}")
+                  f"j={g.j}: {exdiv.format_exclass(d, (g.degree, g.mask))}")
     return 0
 
 

@@ -1,60 +1,23 @@
 """Linear algebra over the two-element field on bit-packed rows.
 
-A vector is a degree and an int mask, addition is XOR, and class names
-appear only where descriptors are parsed and results printed. One F2Vector
-type serves H*(X; F_2) and H*(E_X; F_2): on X bit i stands for basis class i
-in declaration order; on E_X bit j*N + i stands for e^j x_i, N the basis
-size (see exdiv). The one elimination routine, pivots, brings rows to
-echelon form on the leading set bit: rows that already have distinct
-leading bits, such as the triangular kernel ladders, become pivots without
-a single XOR. Its pivots count the rank, and their leading bits are exactly
-the leading bits of the nonzero elements of the span. pivots_by_degree,
-the one routine that groups rows by degree, serves kernel and loader alike.
+A vector is a plain (degree, mask) pair, an int mask of basis classes in
+one degree: addition is XOR of the masks, (m, 0) is the zero of degree m,
+and class names appear only where descriptors are parsed and results
+printed. The one pair serves H*(X; F_2) and H*(E_X; F_2): on X bit i stands
+for basis class i in declaration order; on E_X bit j*N + i stands for
+e^j x_i, N the basis size (see exdiv). The one elimination routine,
+pivots, brings rows to echelon form on the leading set bit: rows that
+already have distinct leading bits, such as the triangular kernel ladders,
+become pivots without a single XOR. Its pivots count the rank, and their
+leading bits are exactly the leading bits of the nonzero elements of the
+span. pivots_by_degree, the one routine that groups rows by degree, serves
+kernel and loader alike.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable
-
-
-@dataclass(frozen=True)
-class F2Vector:
-    """Sum of basis classes in one degree, one bit per class; mask 0 is zero.
-
-    >>> x = F2Vector(2, 0b01)
-    >>> (x + x).is_zero()
-    True
-    >>> bin((x + F2Vector(2, 0b10)).mask)
-    '0b11'
-    """
-
-    degree: int
-    mask: int = 0
-
-    def is_zero(self) -> bool:
-        return not self.mask
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if not self.mask:
-            return other
-        if not other.mask:
-            return self
-        if self.degree != other.degree:
-            raise ValueError(
-                f"cannot add degree {self.degree} to degree {other.degree}")
-        return F2Vector(self.degree, self.mask ^ other.mask)
-
-    def __eq__(self, other: object) -> bool:
-        # zero is the zero vector of every degree
-        if not isinstance(other, F2Vector):
-            return NotImplemented
-        return self.mask == other.mask and (
-            not self.mask or self.degree == other.degree)
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
 
 
 def pivots(rows: Iterable[int]) -> dict[int, int]:

@@ -40,7 +40,6 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import exdiv, gf2, steenrod
-from .gf2 import F2Vector
 from .report import FAIL, PASS, Report
 from .spaces import ManifoldDescriptor, once
 from .steenrod import Sq1NotZero
@@ -52,11 +51,6 @@ class KernelGenerator(NamedTuple):
     j: int  # e-power multiplying the ladder
     degree: int  # degree of the class on E
     mask: int  # the class on E, in exdiv's bit layout
-
-    @property
-    def value(self) -> F2Vector:
-        """The generator as a class on E, for printing."""
-        return F2Vector(self.degree, self.mask)
 
     @property
     def is_zero(self) -> bool:
@@ -169,8 +163,8 @@ def _witness(d: ManifoldDescriptor, degree: int) -> dict:
     w = row >> size
     k = degree // 2
     p = exdiv.leading_power(d, w)
-    coeff = exdiv.coefficient(d, F2Vector(degree, w), p)
+    _, coeff = exdiv.coefficient(d, (degree, w), p)
     return {"degree": degree, "l": k - p, "e_power": p,
-            "coefficient": sorted(d.module.names(coeff.mask)),
+            "coefficient": sorted(d.module.names(coeff)),
             "combination": [(g.family, g.source, g.j)
                             for i, g in enumerate(pool) if row >> i & 1]}

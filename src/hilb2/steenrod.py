@@ -9,14 +9,16 @@ optionally a cup product table. The axioms checked by validate():
   Cartan         Sq^i(x y) = sum_j Sq^j(x) Sq^(i-j)(y)   (needs the cup table)
   Adem           Sq^a Sq^b for a < 2b expands as the usual sum
 
-Class i of the basis is bit i of an int mask, and a vector is the mask of
-its classes. The square and cup tables are keyed by class index, and each
+Class i of the basis is bit i of an int mask, and a vector is a plain
+(degree, mask) pair, the mask of its classes; (m, 0) is the zero vector of
+degree m. The square and cup tables are keyed by class index, and each
 stored row is the mask of Sq^k of a basis class or of the product of two
 basis classes. Sq^0 and products with the unit are implicit, so a class
 with no stored square or product has no row. The unit, the first degree-0
 class, is read by its bit too. Names appear only at the edges:
 basis_vector(name) reads one, names(mask) and unit() print them, and an
-unknown name or a bit outside the basis raises UnknownClass.
+unknown name, a negative mask or a bit outside the basis raises
+UnknownClass (_check_mask).
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
@@ -42,7 +44,6 @@ from functools import cached_property
 from math import comb
 from typing import Mapping
 
-from .gf2 import F2Vector
 from .report import FAIL, NOTE, Report
 
 
@@ -83,19 +84,19 @@ class UnstableModule:
 
     def names(self, mask: int) -> tuple:
         """The basis classes of a mask, in declaration order."""
-        if mask >> len(self.basis):
-            raise UnknownClass(f"bit {mask.bit_length() - 1} is not a basis class")
+        _check_mask(mask, len(self.basis))
         return tuple(self.basis[i][0] for i in _bits(mask))
 
     def unit(self) -> str | None:
         return next(iter(self.names(self._unit_bit)), None)
 
-    def basis_vector(self, name: str) -> F2Vector:
+    def basis_vector(self, name: str) -> tuple[int, int]:
+        """The (degree, mask) pair of the named class."""
         try:
             i = self._index[name]
         except KeyError:
             raise UnknownClass(name) from None
-        return F2Vector(self.basis[i][1], 1 << i)
+        return self.basis[i][1], 1 << i
 
     def cup_product(self, v: int, w: int) -> int:
         """Bilinear extension of the stored table to masks; the unit acts as
@@ -108,8 +109,8 @@ class UnstableModule:
         """
         if self.cup is None:
             raise ValueError("module has no cup table")
-        if (v | w) >> len(self.basis):
-            raise UnknownClass(f"bit {(v | w).bit_length() - 1} is not a basis class")
+        for mask in (v, w):
+            _check_mask(mask, len(self.basis))
         return self._times(v, w)
 
     def _times(self, v: int, w: int) -> int:
@@ -134,6 +135,15 @@ class UnstableModule:
         return 0
 
 
+def _check_mask(mask: int, width: int, what: str = "a basis class") -> None:
+    """The one edge check on a mask from a caller: UnknownClass unless it
+    is a set of bits below width, each bit standing for `what`."""
+    if mask < 0:
+        raise UnknownClass(f"mask {mask} is negative, not a set of classes")
+    if mask >> width:
+        raise UnknownClass(f"bit {mask.bit_length() - 1} is not {what}")
+
+
 def _bits(mask: int):
     """The class indices of the set bits of a mask, lowest first."""
     while mask:
@@ -142,22 +152,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def sq(m: UnstableModule, k: int, v: F2Vector) -> F2Vector:
-    """Apply Sq^k to a homogeneous vector. Sq^0 is the identity and
-    Sq^k v = 0 for k > deg(v) or k < 0.
+def sq(m: UnstableModule, k: int, v: tuple[int, int]) -> tuple[int, int]:
+    """Apply Sq^k to a homogeneous (degree, mask) vector. Sq^0 is the
+    identity and Sq^k v = 0 for k > deg(v) or k < 0.
 
     >>> m = UnstableModule((("1", 0), ("h", 2), ("h2", 4)),
     ...                    {1: {2: 0b100}}, None, 4)
-    >>> m.names(sq(m, 2, m.basis_vector("h")).mask)
-    ('h2',)
-    >>> sq(m, 3, m.basis_vector("h")).is_zero()
-    True
+    >>> sq(m, 2, m.basis_vector("h"))
+    (4, 4)
+    >>> sq(m, 3, m.basis_vector("h"))
+    (5, 0)
     """
-    if v.mask >> len(m.basis):
-        raise UnknownClass(f"bit {v.mask.bit_length() - 1} is not a basis class")
+    degree, mask = v
+    _check_mask(mask, len(m.basis))
     if k == 0:
         return v
-    return F2Vector(v.degree + k, _squares_of(m.sq, v.mask, v.degree).get(k, 0))
+    return degree + k, _squares_of(m.sq, mask, degree).get(k, 0)
 
 
 def is_sq1_zero(m: UnstableModule) -> bool:

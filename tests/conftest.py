@@ -5,7 +5,6 @@ import io
 import json
 
 from hilb2 import cli, load_descriptor, parse_descriptor
-from hilb2.gf2 import F2Vector
 
 
 def descriptor_obj(n, degrees=None, classes=None, sq=None, cup=None,
@@ -68,15 +67,16 @@ class OutOfRange(ValueError):
 
 
 def e_multiply(d, c):
-    """Multiply a class on E by e, shifting every coefficient one power up,
-    N bits of the layout. A nonzero top coefficient raises OutOfRange
-    instead of guessing the e^n reduction."""
+    """Multiply a (degree, mask) class on E by e, shifting every coefficient
+    one power up, N bits of the layout. A nonzero top coefficient raises
+    OutOfRange instead of guessing the e^n reduction."""
+    degree, mask = c
     width = len(d.module.basis)
-    if c.mask >> (d.n - 1) * width:
+    if mask >> (d.n - 1) * width:
         raise OutOfRange(
             f"e * (e^{d.n - 1} term) leaves the stored range; the e^{d.n} "
             "reduction is not available")
-    return F2Vector(c.degree + 2, c.mask << width)
+    return degree + 2, mask << width
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,4 +1,4 @@
-"""GF(2) linear algebra: echelon form, ranks, spans, and the vector type."""
+"""GF(2) linear algebra: echelon form, ranks and spans of (degree, mask) rows."""
 
 import itertools
 import os
@@ -6,14 +6,8 @@ import random
 import subprocess
 import sys
 
-import pytest
-
 import hilb2
-from hilb2.gf2 import F2Vector, pivots, span_dims_by_degree
-
-
-def vec(degree, *bits):
-    return F2Vector(degree, sum(1 << b for b in bits))
+from hilb2.gf2 import pivots, span_dims_by_degree
 
 
 def brute_span(rows):
@@ -26,37 +20,6 @@ def brute_span(rows):
                 acc ^= row
             seen.add(acc)
     return seen
-
-
-def test_vector_addition_cancels():
-    a = vec(2, 0, 1)
-    b = vec(2, 1, 2)
-    assert a + b == vec(2, 0, 2)
-    assert a + a == vec(2)
-    assert (a + a).is_zero()
-
-
-def test_zero_vectors_compare_equal_across_degrees():
-    assert vec(2) == vec(5)
-    assert hash(vec(2)) == hash(vec(5))
-    assert vec(2) != vec(2, 0)
-    assert vec(2, 0) != vec(3, 0)
-
-
-def test_a_vector_is_not_equal_to_its_mask():
-    assert F2Vector(2, 1).__eq__(1) is NotImplemented
-    assert vec(2) != 0 and vec(2, 0) != 1
-
-
-def test_adding_zero_ignores_its_degree():
-    a = vec(3, 4)
-    assert a + vec(7) == a
-    assert vec(7) + a == a
-
-
-def test_mixed_nonzero_degrees_rejected():
-    with pytest.raises(ValueError):
-        vec(2, 0) + vec(3, 1)
 
 
 def test_rank_of_explicit_rows():

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_descriptor, parse_only
-from hilb2 import catalog_get, catalog_names, catalog_text, steenrod
-from hilb2.gf2 import F2Vector
+from hilb2 import catalog_get, catalog_names, catalog_text, exdiv, steenrod
 from hilb2.report import FAIL, NOTE, Report
 from hilb2.spaces import descriptor_to_json, parse_descriptor
 from hilb2.steenrod import (
@@ -47,9 +46,9 @@ def test_sq0_is_identity():
 
 def test_sq_above_degree_vanishes():
     m = simple_module()
-    assert sq(m, 2, m.basis_vector("t")).is_zero()
-    assert sq(m, 5, m.basis_vector("top")).is_zero()
-    assert sq(m, -1, m.basis_vector("t")).is_zero()
+    assert sq(m, 2, m.basis_vector("t")) == (3, 0)
+    assert sq(m, 5, m.basis_vector("top")) == (9, 0)
+    assert sq(m, -1, m.basis_vector("t")) == (0, 0)
 
 
 def test_sq_is_additive():
@@ -59,19 +58,19 @@ def test_sq_is_additive():
         cup=None,
         top_degree=4,
     )
-    both = m.basis_vector("a") + m.basis_vector("b")
-    assert sq(m, 1, both).is_zero()  # the two images cancel
+    both = (1, m.basis_vector("a")[1] ^ m.basis_vector("b")[1])
+    assert sq(m, 1, both) == (2, 0)  # the two images cancel
     assert sq(m, 1, m.basis_vector("a")) == m.basis_vector("x")
 
 
 def test_sq_unknown_name_raises():
     m = simple_module()
     with pytest.raises(UnknownClass):
-        sq(m, 1, F2Vector(1, 1 << len(m.basis)))  # no class has this bit
+        sq(m, 1, (1, 1 << len(m.basis)))  # no class has this bit
     # whatever k is: above the degree, zero, or negative
     for k in (5, 0, -1):
         with pytest.raises(UnknownClass):
-            sq(m, k, F2Vector(2, 1 << 40))
+            sq(m, k, (2, 1 << 40))
     with pytest.raises(UnknownClass):
         m.basis_vector("ghost")
 
@@ -91,6 +90,22 @@ def test_names_of_a_bit_outside_the_basis_raises():
             m.names(mask)
         assert exc.value.args == (
             f"bit {mask.bit_length() - 1} is not a basis class",)
+
+
+def test_a_negative_mask_is_named_at_every_edge_check():
+    # a negative mask has every high bit set; it is no set of classes, and
+    # the error names it rather than a bit of the basis
+    d = catalog_get("p2")  # classes 1, h, h2
+    m = d.module
+    calls = {"names": lambda: m.names(-2),
+             "cup_product": lambda: m.cup_product(0b010, -2),
+             "sq": lambda: sq(m, 1, (2, -2)),
+             "_ladder": lambda: exdiv._ladder(d, (2, -2), 0),
+             "format_exclass": lambda: exdiv.format_exclass(d, (4, -2))}
+    for name, call in calls.items():
+        with pytest.raises(UnknownClass) as exc:
+            call()
+        assert exc.value.args == ("mask -2 is negative, not a set of classes",), name
 
 
 def test_cup_product_without_a_cup_table_raises():
@@ -251,7 +266,13 @@ def test_validation_work_does_not_grow_with_the_basis(monkeypatch):
 
 # Reference: the dense validator, which forms both sides of the Cartan
 # formula for every i <= deg x + deg y and every j <= i, and both sides of
-# every Adem relation through sq() on F2Vector values.
+# every Adem relation through sq() on (degree, mask) pairs, summed by XOR.
+
+def add(v, w):
+    """The sum of two (degree, mask) vectors of one degree: masks XORed."""
+    assert v[0] == w[0], f"cannot add degree {v[0]} to degree {w[0]}"
+    return v[0], v[1] ^ w[1]
+
 
 def dense_validate(m):
     rep = Report()
@@ -273,16 +294,17 @@ def dense_validate(m):
                 rep.add("instability", FAIL,
                         f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
 
-    square = cache(lambda i, k: sq(m, k, F2Vector(m.basis[i][1], 1 << i)))
+    square = cache(lambda i, k: sq(m, k, (m.basis[i][1], 1 << i)))
     unit = next((t for t, (_, deg) in enumerate(m.basis) if deg == 0), None)
 
     def times(v, w):
         # bilinear over the bits and read from m.cup by the sorted pair,
         # without cup_product: the unit is the identity, and a product of
         # classes whose degrees add up to more than the top degree is zero
+        (dv, mv), (dw, mw) = v, w
         acc = 0
-        right = [t for t, b in enumerate(members) if w.mask & b]
-        for s in [s for s, a in enumerate(members) if v.mask & a]:
+        right = [t for t, b in enumerate(members) if mw & b]
+        for s in [s for s, a in enumerate(members) if mv & a]:
             for t in right:
                 if s == unit:
                     acc ^= members[t]
@@ -290,7 +312,7 @@ def dense_validate(m):
                     acc ^= members[s]
                 elif m.basis[s][1] + m.basis[t][1] <= m.top_degree:
                     acc ^= m.cup.get((min(s, t), max(s, t)), 0)
-        return F2Vector(v.degree + w.degree, acc)
+        return dv + dw, acc
 
     if m.cup is None:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
@@ -303,8 +325,8 @@ def dense_validate(m):
             right = times(square(i, 0), square(i, 0))
             if left != right:
                 rep.add("square-rule", FAIL,
-                        f"Sq^{deg} {name} = {_shown(m, left.mask)} but "
-                        f"{name} cup {name} = {_shown(m, right.mask)}")
+                        f"Sq^{deg} {name} = {_shown(m, left[1])} but "
+                        f"{name} cup {name} = {_shown(m, right[1])}")
         for (ix, iy), product in sorted(m.cup.items()):
             (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
             for t, bit in enumerate(members):
@@ -312,17 +334,16 @@ def dense_validate(m):
                     rep.add("degree-shift", FAIL,
                             f"{x} cup {y} contains {m.basis[t][0]} of degree "
                             f"{m.basis[t][1]}, expected degree {dx + dy}")
-            prod = F2Vector(dx + dy, product)
             for i in range(1, dx + dy + 1):
-                left = sq(m, i, prod)
-                right = F2Vector(dx + dy + i)
+                left = sq(m, i, (dx + dy, product))
+                right = (dx + dy + i, 0)
                 for j in range(i + 1):
-                    right += times(square(ix, j), square(iy, i - j))
+                    right = add(right, times(square(ix, j), square(iy, i - j)))
                 if left != right:
                     rep.add("cartan", FAIL,
                             f"Sq^{i}({x} cup {y}): table gives "
-                            f"{_shown(m, left.mask)}, Cartan sum gives "
-                            f"{_shown(m, right.mask)}")
+                            f"{_shown(m, left[1])}, Cartan sum gives "
+                            f"{_shown(m, right[1])}")
 
     squared = {1 << i for i in m.sq}
     for b in range(1, m.top_degree + 1):
@@ -334,13 +355,13 @@ def dense_validate(m):
             expansion = adem_expand(a, b)
             for i, name in high:
                 left = sq(m, a, square(i, b))
-                right = F2Vector(left.degree)
+                right = (left[0], 0)
                 for x, y in expansion:
-                    right += sq(m, x, square(i, y))
+                    right = add(right, sq(m, x, square(i, y)))
                 if left != right:
                     rep.add("adem", FAIL,
-                            f"Sq^{a} Sq^{b} {name} = {_shown(m, left.mask)} "
-                            f"but the Adem expansion gives {_shown(m, right.mask)}")
+                            f"Sq^{a} Sq^{b} {name} = {_shown(m, left[1])} "
+                            f"but the Adem expansion gives {_shown(m, right[1])}")
     return rep
 
 
