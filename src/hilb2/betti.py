@@ -62,8 +62,10 @@ class GroupProfile:
         """Mod-2 dimensions by universal coefficients: free + torsion from
         this degree and the one below."""
         out: dict[int, int] = {}
+        get, zero = self.groups.get, (0, 0)
         for k in range(self.top + 1):
-            v = self.free_rank(k) + self.two_torsion(k) + self.two_torsion(k - 1)
+            free, tors = get(k, zero)
+            v = free + tors + get(k - 1, zero)[1]
             if v:
                 out[k] = v
         return out
@@ -122,9 +124,10 @@ def betti_hilb2_exact(d: ManifoldDescriptor) -> BettiTable:
     C = betti_config(d)
     K = kernel.kernel_dimensions(d)
     dims: dict[int, int] = {}
+    e_dim, c_dim, k_dim = E.dims.get, C.dims.get, K.get
     for m in range(4 * d.n + 1):
-        pushed = E.dim(m - 2) - K.get(m - 2, 0)
-        restricted = C.dim(m) - K.get(m - 1, 0)
+        pushed = e_dim(m - 2, 0) - k_dim(m - 2, 0)
+        restricted = c_dim(m, 0) - k_dim(m - 1, 0)
         if pushed < 0 or restricted < 0:
             raise NegativeRank(
                 f"degree {m}: image ranks {pushed} and {restricted}; "

@@ -60,12 +60,13 @@ def _ladder(d: ManifoldDescriptor, u: tuple, s: int) -> tuple:
     The stored squares of u are read once, through steenrod._squares_of,
     so the cost follows them and not the length of the ladder. A ladder
     above the top degree 4n - 2 of E is zero; otherwise 4t <= degree <=
-    4n - 2, so every term has e-power t - i <= t <= n - 1.
+    4n - 2, so every term has e-power t - i <= t <= n - 1. u is not
+    checked here: the public ladders check it (steenrod._check_vector),
+    and shifted_ladders passes basis classes in their own degrees.
     """
     m = d.module
     width = len(m.basis)
     r, bits = u
-    steenrod._check_mask(bits, width)
     t = (r - s) // 2
     degree = r + s + 2 * t
     if degree > 4 * d.n - 2:
@@ -110,6 +111,8 @@ def shifted_ladders(d: ManifoldDescriptor
 
 def boundary_no_b(d: ManifoldDescriptor, u: tuple) -> tuple:
     """Boundary of the punctured symmetric square class, degree 2 deg(u) - 1.
+    A mask that is not a set of basis classes of the pair's degree raises
+    UnknownClass, here and in boundary_with_b and hilb_restriction.
 
     >>> from hilb2.catalog import catalog_get
     >>> en = catalog_get("enriques_x")
@@ -119,6 +122,7 @@ def boundary_no_b(d: ManifoldDescriptor, u: tuple) -> tuple:
     >>> boundary_no_b(en, en.module.basis_vector("1"))
     (-1, 0)
     """
+    steenrod._check_vector(d.module, u)
     return _ladder(d, u, 1 - u[0] % 2)
 
 
@@ -131,6 +135,7 @@ def boundary_with_b(d: ManifoldDescriptor, u: tuple) -> tuple:
     >>> boundary_with_b(en, en.module.basis_vector("t")) == t2
     True
     """
+    steenrod._check_vector(d.module, u)
     return _ladder(d, u, u[0] % 2)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from typing import Callable, Iterable, Mapping
 
 from . import gf2, steenrod
@@ -118,13 +119,15 @@ class BettiTable:
         return self.dims.get(k, 0)
 
     def as_row(self) -> tuple:
-        return tuple(self.dim(k) for k in range(self.top + 1))
+        return tuple(map(self.dims.get, range(self.top + 1), repeat(0)))
 
     def euler(self) -> int:
         return sum(v if k % 2 == 0 else -v for k, v in self.dims.items())
 
     def is_palindromic(self) -> bool:
-        return all(self.dim(self.top - k) == v for k, v in self.dims.items())
+        # sparse: top may be 2n for a huge n with a few classes
+        get, top = self.dims.get, self.top
+        return all(get(top - k) == v for k, v in self.dims.items())
 
 
 def _expect_keys(obj, required: dict, optional: dict, where: str,
@@ -442,9 +445,10 @@ def ladder_counts(d: ManifoldDescriptor,
     """b_v classes in every degree of ladder(v), summed over the degrees v
     of the basis of X."""
     out = Counter()
+    get = out.get  # out[k] += b_v would call Counter.__missing__ per new k
     for v, b_v in _degree_counts(d).items():
         for k in ladder(v):
-            out[k] += b_v
+            out[k] = get(k, 0) + b_v
     return out
 
 

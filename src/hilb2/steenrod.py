@@ -18,7 +18,8 @@ with no stored square or product has no row. The unit, the first degree-0
 class, is read by its bit too. Names appear only at the edges:
 basis_vector(name) reads one, names(mask) and unit() print them, and an
 unknown name, a negative mask or a bit outside the basis raises
-UnknownClass (_check_mask).
+UnknownClass (_check_mask). sq and the E_X ladders also raise it for a
+class outside the degree of the (degree, mask) pair (_check_vector).
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
@@ -31,16 +32,20 @@ Validation visits only the stored squares and cup entries, not (2n)^3 or
 the basis; but a stored mask that holds class i is i + 1 bits wide, so the
 cost of one entry grows with the basis size. The square rule and Adem
 checks visit only the classes with a stored row. The Cartan check of a cup
-entry x cup y forms products only for pairs of nonzero squares of x and y,
-and compares the two sides only in the degrees where a stored square makes
-one of them nonzero. The Adem check on a class u tries the relations
-Sq^a Sq^b u by total degree, only where some Sq^x Sq^y u of it is nonzero.
+entry x cup y forms products only for pairs of nonzero squares of x and y
+whose degrees add up to at most the top degree, unless a stored square has
+a wrong degree (or lies above the top one), when a product above the top
+can be nonzero and every pair is formed. It compares the two sides only in
+the degrees where a stored square makes one of them nonzero. The Adem
+check on a class u tries the relations Sq^a Sq^b u by total degree, only
+where some Sq^x Sq^y u of it is nonzero; each expansion of Sq^a Sq^b is
+computed once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Mapping
 
@@ -81,6 +86,21 @@ class UnstableModule:
         """The bit of the first degree-0 class, or 0 when there is none."""
         return next((1 << i for i, (_, deg) in enumerate(self.basis)
                      if deg == 0), 0)
+
+    @cached_property
+    def _degree_masks(self) -> dict[int, int]:
+        """degree -> the mask of the basis classes of that degree."""
+        members: dict[int, list[int]] = {}
+        for i, (_, deg) in enumerate(self.basis):
+            members.setdefault(deg, []).append(i)
+        masks = {}
+        for deg, idx in members.items():  # a bitmap over each degree's span
+            low = idx[0]
+            row = bytearray(((idx[-1] - low) >> 3) + 1)
+            for i in idx:
+                row[(i - low) >> 3] |= 1 << ((i - low) & 7)
+            masks[deg] = int.from_bytes(row, "little") << low
+        return masks
 
     def names(self, mask: int) -> tuple:
         """The basis classes of a mask, in declaration order."""
@@ -144,6 +164,18 @@ def _check_mask(mask: int, width: int, what: str = "a basis class") -> None:
         raise UnknownClass(f"bit {mask.bit_length() - 1} is not {what}")
 
 
+def _check_vector(m: UnstableModule, v: tuple[int, int]) -> None:
+    """The edge check on a (degree, mask) pair from a caller: _check_mask,
+    and UnknownClass naming the first class of the mask that is not of
+    the pair's degree."""
+    degree, mask = v
+    _check_mask(mask, len(m.basis))
+    stray = mask & ~m._degree_masks.get(degree, 0)
+    if stray:
+        name, deg = m.basis[(stray & -stray).bit_length() - 1]
+        raise UnknownClass(f"class {name!r} has degree {deg}, not {degree}")
+
+
 def _bits(mask: int):
     """The class indices of the set bits of a mask, lowest first."""
     while mask:
@@ -154,7 +186,8 @@ def _bits(mask: int):
 
 def sq(m: UnstableModule, k: int, v: tuple[int, int]) -> tuple[int, int]:
     """Apply Sq^k to a homogeneous (degree, mask) vector. Sq^0 is the
-    identity and Sq^k v = 0 for k > deg(v) or k < 0.
+    identity and Sq^k v = 0 for k > deg(v) or k < 0. A mask that is not a
+    set of basis classes of the pair's degree raises UnknownClass.
 
     >>> m = UnstableModule((("1", 0), ("h", 2), ("h2", 4)),
     ...                    {1: {2: 0b100}}, None, 4)
@@ -163,8 +196,8 @@ def sq(m: UnstableModule, k: int, v: tuple[int, int]) -> tuple[int, int]:
     >>> sq(m, 3, m.basis_vector("h"))
     (5, 0)
     """
+    _check_vector(m, v)
     degree, mask = v
-    _check_mask(mask, len(m.basis))
     if k == 0:
         return v
     return degree + k, _squares_of(m.sq, mask, degree).get(k, 0)
@@ -188,11 +221,14 @@ def adem_expand(a: int, b: int) -> list[tuple[int, int]]:
     """
     if a < 1 or a >= 2 * b:
         raise ValueError(f"Sq^{a} Sq^{b} is not an admissible left side (need 1 <= a < 2b)")
-    out = []
-    for c in range(a // 2 + 1):
-        if comb(b - c - 1, a - 2 * c) % 2:
-            out.append((a + b - c, c))
-    return out
+    return list(_adem_terms(a, b))
+
+
+@lru_cache(maxsize=1 << 12)
+def _adem_terms(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """adem_expand(a, b) as a tuple, memoized for the whole process."""
+    return tuple((a + b - c, c) for c in range(a // 2 + 1)
+                 if comb(b - c - 1, a - 2 * c) % 2)
 
 
 def _shown(m: UnstableModule, mask: int) -> str:
@@ -225,15 +261,25 @@ def validate(m: UnstableModule) -> Report:
     note for each check that had to be skipped. No failures means valid.
     """
     rep = Report()
+    top = m.top_degree
+    # graded: every stored square lies in its own degree, at most the top
+    # one. Then a Cartan term Sq^j x cup Sq^k y with dx + dy + j + k above
+    # the top degree is zero: a product of two classes above it is, and the
+    # unit is a factor only as x itself (j = dx = 0), leaving Sq^k y, a
+    # square above the top degree, of which there is none
+    graded = True
     for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
                              for k, mask in row.items()):
         u, du = m.basis[i]
         for j in _bits(mask):
             t, dt = m.basis[j]
             if dt != du + k:
+                graded = False
                 rep.add("degree-shift", FAIL,
                         f"Sq^{k} {u} contains {t} of degree {dt}, "
                         f"expected degree {du + k}")
+            elif dt > top:
+                graded = False
         if k > du:
             rep.add("instability", FAIL,
                     f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
@@ -254,8 +300,15 @@ def validate(m: UnstableModule) -> Report:
                 rep.add("square-rule", FAIL,
                         f"Sq^{deg} {name} = {_shown(m, left)} but "
                         f"{name} cup {name} = {_shown(m, right)}")
+        # class index i -> [(k, Sq^k x_i)] for k <= deg x_i, Sq^0 first
+        rows: dict[int, list] = {}
         for (ix, iy), product in sorted(m.cup.items()):
             (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
+            for i in (ix, iy):
+                if i not in rows:
+                    deg = m.basis[i][1]
+                    rows[i] = [(0, 1 << i)] + sorted(
+                        (k, v) for k, v in m.sq.get(i, {}).items() if k <= deg)
             for j in _bits(product):
                 t, dt = m.basis[j]
                 if dt != dx + dy:
@@ -266,11 +319,14 @@ def validate(m: UnstableModule) -> Report:
             # where a stored square makes one of them nonzero
             left = _squares_of(m.sq, product, dx + dy)
             right: dict[int, int] = {}
-            sx = {0: 1 << ix} | m.sq.get(ix, {})
-            sy = {0: 1 << iy} | m.sq.get(iy, {})
-            for j, vx in sx.items():
-                for k, vy in sy.items():
-                    if j <= dx and k <= dy and j + k:
+            room = top - dx - dy if graded else dx + dy  # the largest j + k
+            for j, vx in rows[ix]:
+                if j > room:
+                    break
+                for k, vy in rows[iy]:
+                    if j + k > room:
+                        break
+                    if j + k:
                         right[j + k] = right.get(j + k, 0) ^ m._times(vx, vy)
             for i in sorted(left.keys() | right.keys()):
                 if left.get(i, 0) != right.get(i, 0):
@@ -286,7 +342,6 @@ def validate(m: UnstableModule) -> Report:
     # (s - c, c), 2c <= a. So only the totals s of nonzero values are tried,
     # each with every a, max(1, s - deg u) <= a <= (2s - 1) // 3; a relation
     # whose values are all zero passes, so trying it adds no FAIL.
-    top = m.top_degree
     adem = []
     for i, row in m.sq.items():  # no stored square: every Sq^x Sq^y u is 0
         name, deg = m.basis[i]
@@ -299,7 +354,7 @@ def validate(m: UnstableModule) -> Report:
                 b = total - a
                 left = twice.get((a, b), 0)
                 right = 0
-                for term in adem_expand(a, b):
+                for term in _adem_terms(a, b):
                     right ^= twice.get(term, 0)
                 if left != right:
                     adem.append((b, a, i, f"Sq^{a} Sq^{b} {name} = {_shown(m, left)} "

@@ -8,6 +8,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_descriptor, sphere
 from hilb2 import (
@@ -25,6 +27,7 @@ from hilb2 import (
 )
 from hilb2.betti import GroupProfile
 from hilb2.catalog import _projective
+from hilb2.spaces import BettiTable
 from hilb2.steenrod import Sq1NotZero
 
 HILB2_ROWS = {
@@ -255,3 +258,28 @@ def test_degree_only_tables_match_the_class_by_class_reference():
         seen_odd += any(k % 2 for k in degrees)
         seen_repeat += len(set(degrees)) < len(degrees)
     assert seen_odd and seen_repeat
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), top=st.integers(0, 40), mirrored=st.booleans())
+def test_rows_and_reductions_match_their_per_degree_definitions(data, top,
+                                                                mirrored):
+    dims = data.draw(st.dictionaries(st.integers(0, top), st.integers(0, 3),
+                                     max_size=8))
+    if mirrored:  # a palindromic row, or one broken at a single degree
+        dims.update({top - k: v for k, v in list(dims.items())})
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, top))
+            dims[k] = dims.get(k, 0) + 1
+    table = BettiTable("t", top, dims)
+    assert table.as_row() == tuple(table.dim(k) for k in range(top + 1))
+    assert table.is_palindromic() == all(
+        table.dim(k) == table.dim(top - k) for k in range(top + 1))
+    groups = data.draw(st.dictionaries(
+        st.integers(-2, top + 2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        max_size=8))
+    profile = GroupProfile("g", top, groups)
+    want = {k: v for k in range(top + 1)
+            if (v := profile.free_rank(k) + profile.two_torsion(k)
+                + profile.two_torsion(k - 1))}
+    assert list(profile.mod2_dims().items()) == list(want.items())

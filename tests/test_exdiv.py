@@ -18,7 +18,7 @@ from hilb2 import (
     hilb_restriction,
     load_descriptor,
 )
-from hilb2.steenrod import UnknownClass
+from hilb2.steenrod import UnknownClass, sq
 
 
 def leading_power(d, c):
@@ -69,6 +69,25 @@ def test_boundary_of_a_bit_outside_the_basis_raises():
     with pytest.raises(UnknownClass) as exc:
         boundary_no_b(d, (2, 1 << 3))
     assert exc.value.args == ("bit 3 is not a basis class",)
+
+
+def test_a_class_outside_the_pairs_degree_raises():
+    # p2 has classes 1, h, h2 in degrees 0, 2, 4: bit 1 is h, of degree 2
+    d = catalog_get("p2")
+    m = d.module
+    calls = [(lambda: sq(m, 2, (1, 0b010)), "class 'h' has degree 2, not 1"),
+             (lambda: sq(m, 2, (7, 0b010)), "class 'h' has degree 2, not 7"),
+             (lambda: sq(m, 0, (2, 0b110)), "class 'h2' has degree 4, not 2"),
+             (lambda: boundary_no_b(d, (3, 0b010)), "class 'h' has degree 2, not 3"),
+             (lambda: boundary_with_b(d, (3, 0b010)), "class 'h' has degree 2, not 3"),
+             (lambda: hilb_restriction(d, (4, 0b010)), "class 'h' has degree 2, not 4")]
+    for call, message in calls:
+        with pytest.raises(UnknownClass) as exc:
+            call()
+        assert exc.value.args == (message,)
+    assert sq(m, 2, (2, 0b010)) == (4, 0b100)
+    assert sq(m, 2, (5, 0)) == (7, 0)  # a zero vector has any degree
+    assert boundary_with_b(d, (2, 0b010)) == (4, 0b010 << 3 | 0b100)
 
 
 def test_format_exclass_of_a_bit_outside_e_raises():

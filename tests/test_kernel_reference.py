@@ -30,7 +30,7 @@ from hilb2.gf2 import pivots, span_dims_by_degree
 from hilb2.kernel import KernelGenerator
 from hilb2.report import FAIL, PASS, Entry
 from hilb2.spaces import parse_descriptor
-from hilb2.steenrod import sq
+from hilb2.steenrod import UnknownClass, sq
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "bench"))
@@ -226,10 +226,20 @@ def test_ladder_matches_one_sq_call_per_term(rng):
     d = random_table(rng)
     m = d.module
     degree = rng.randint(-1, 2 * d.n + 1)
-    u = (degree, rng.getrandbits(len(m.basis)))
+    bits = rng.getrandbits(len(m.basis))
     s = rng.randint(0, 1)
-    t = (degree - s) // 2
-    assert exdiv._ladder(d, u, s) == ladder_by_sq(d, u, t, s, degree + s + 2 * t)
+
+    def of_degree(r):
+        return sum(1 << i for i, (_, deg) in enumerate(m.basis) if deg == r)
+
+    # a vector holds classes of one degree: the drawn one, and each degree
+    # of the drawn classes; the boundary edge rejects the mixed mask
+    for r in {degree} | {deg for i, (_, deg) in enumerate(m.basis) if bits >> i & 1}:
+        u, t = (r, bits & of_degree(r)), (r - s) // 2
+        assert exdiv._ladder(d, u, s) == ladder_by_sq(d, u, t, s, r + s + 2 * t)
+    if bits & ~of_degree(degree):
+        with pytest.raises(UnknownClass):
+            exdiv.boundary_no_b(d, (degree, bits))
 
 
 def test_ladder_carry_rule_on_explicit_cases():
