@@ -24,11 +24,10 @@ from .betti import (
 from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
 from .exdiv import (
     betti_exceptional,
-    boundary_no_b,
-    boundary_with_b,
     coefficient,
     format_exclass,
     hilb_restriction,
+    ladder,
 )
 from .gf2 import span_dims_by_degree
 from .kernel import (

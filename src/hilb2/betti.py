@@ -52,12 +52,6 @@ class GroupProfile:
         clean = {k: (f, t) for k, (f, t) in self.groups.items() if f or t}
         object.__setattr__(self, "groups", clean)
 
-    def free_rank(self, k: int) -> int:
-        return self.groups.get(k, (0, 0))[0]
-
-    def two_torsion(self, k: int) -> int:
-        return self.groups.get(k, (0, 0))[1]
-
     def mod2_dims(self) -> dict[int, int]:
         """Mod-2 dimensions by universal coefficients: free + torsion from
         this degree and the one below."""

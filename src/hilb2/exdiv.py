@@ -15,19 +15,21 @@ shape. For a square parity s in {0, 1} and t = (r - s) // 2,
 
   L_s(u) = e^t Sq^s u + e^(t-1) Sq^(s+2) u + ... + Sq^(s+2t) u
 
-lies in degree r + s + 2t. boundary_with_b(u) is L_s(u) for s = r mod 2, in
-degree 2r; boundary_no_b(u) is L_s(u) for the other parity, in degree
-2r - 1. For even r the with-b ladder is also the restriction to E of the
-fundamental class of the Hilbert square of Z inside that of X
-(hilb_restriction). Empty ladders (r = 0 with s = 1, or r = 2n with s = 0,
-where the ambient group vanishes) give the zero class (m, 0) of their degree.
+lies in degree r + s + 2t, and ladder(d, u, s) computes it. The boundary
+twisted by the cover is L_s(u) for s = r mod 2, in degree 2r; the plain
+boundary is L_s(u) for the other parity, in degree 2r - 1. For even r the
+twisted ladder L_0(u) is also the restriction to E of the fundamental class
+of the Hilbert square of Z inside that of X (hilb_restriction). Empty
+ladders (r = 0 with s = 1, or r = 2n with s = 0, where the ambient group
+vanishes) give the zero class (m, 0) of their degree.
 
 The bit layout is this module's alone: other modules read a class on E
-through coefficient and leading_power. shifted_ladders lists the kernel
-generators e^j L_s(u) for 0 <= j <= n - 1 - s - t, one list of shifts per
-ladder. Each ladder is computed once, at j = 0, and its e^j shifts are the
-same bits moved up j blocks of N. A class with no stored square needs no
-ladder computation at all: its only nonzero ladder is e^t u.
+through coefficient, its one checked reader, and leading_power.
+shifted_ladders lists the kernel generators e^j L_s(u) for
+0 <= j <= n - 1 - s - t, one list of shifts per ladder. Each ladder is
+computed once, at j = 0, and its e^j shifts are the same bits moved up j
+blocks of N. A class with no stored square needs no ladder computation at
+all: its only nonzero ladder is e^t u.
 """
 
 from __future__ import annotations
@@ -40,11 +42,20 @@ from .spaces import BettiTable, ManifoldDescriptor, ladder_counts
 
 def coefficient(d: ManifoldDescriptor, c: tuple, j: int) -> tuple:
     """The coefficient of e^j in c, a class of degree deg(c) - 2j on X;
-    zero for j < 0 and for j >= n."""
-    degree, mask = c
+    zero for j < 0 and for j >= n. The one checked reader of a class on E:
+    a negative mask, a bit at or above n*N or a class of the block outside
+    its degree raises UnknownClass."""
+    steenrod._check_mask(c[1], d.n * len(d.module.basis), "a class of E")
+    block = _coefficient(d, c, j)
+    steenrod._check_vector(d.module, block)
+    return block
+
+
+def _coefficient(d: ManifoldDescriptor, c: tuple, j: int) -> tuple:
+    """coefficient without its checks, for a class the kernel built."""
     width = len(d.module.basis)
-    low = mask >> j * width if j >= 0 else 0
-    return degree - 2 * j, low & ((1 << width) - 1)
+    low = c[1] >> j * width if j >= 0 else 0
+    return c[0] - 2 * j, low & ((1 << width) - 1)
 
 
 def leading_power(d: ManifoldDescriptor, mask: int) -> int:
@@ -61,8 +72,8 @@ def _ladder(d: ManifoldDescriptor, u: tuple, s: int) -> tuple:
     so the cost follows them and not the length of the ladder. A ladder
     above the top degree 4n - 2 of E is zero; otherwise 4t <= degree <=
     4n - 2, so every term has e-power t - i <= t <= n - 1. u is not
-    checked here: the public ladders check it (steenrod._check_vector),
-    and shifted_ladders passes basis classes in their own degrees.
+    checked here: ladder checks it (steenrod._check_vector), and
+    shifted_ladders passes basis classes in their own degrees.
     """
     m = d.module
     width = len(m.basis)
@@ -109,43 +120,38 @@ def shifted_ladders(d: ManifoldDescriptor
                              for j in range(n - s - (deg - s) // 2)]
 
 
-def boundary_no_b(d: ManifoldDescriptor, u: tuple) -> tuple:
-    """Boundary of the punctured symmetric square class, degree 2 deg(u) - 1.
-    A mask that is not a set of basis classes of the pair's degree raises
-    UnknownClass, here and in boundary_with_b and hilb_restriction.
+def ladder(d: ManifoldDescriptor, u: tuple, s: int) -> tuple:
+    """L_s(u) for a square parity s in {0, 1}, in degree deg(u) + s + 2t.
+
+    The boundary of the punctured symmetric square class is s = deg u + 1
+    mod 2, in degree 2 deg(u) - 1; the boundary twisted by the double
+    cover is s = deg u mod 2, in degree 2 deg(u). An s outside {0, 1}
+    raises ValueError, and a mask that is not a set of basis classes of
+    the pair's degree raises UnknownClass, here and in hilb_restriction.
 
     >>> from hilb2.catalog import catalog_get
     >>> en = catalog_get("enriques_x")
     >>> t = en.module.basis_vector("t")
-    >>> boundary_no_b(en, t) == t
+    >>> ladder(en, t, 0) == t
     True
-    >>> boundary_no_b(en, en.module.basis_vector("1"))
+    >>> ladder(en, t, 1) == en.module.basis_vector("t2")
+    True
+    >>> ladder(en, en.module.basis_vector("1"), 1)
     (-1, 0)
     """
+    if s not in (0, 1):
+        raise ValueError(f"the square parity s is 0 or 1, not {s!r}")
     steenrod._check_vector(d.module, u)
-    return _ladder(d, u, 1 - u[0] % 2)
-
-
-def boundary_with_b(d: ManifoldDescriptor, u: tuple) -> tuple:
-    """Boundary of the same class twisted by the double cover, degree 2 deg(u).
-
-    >>> from hilb2.catalog import catalog_get
-    >>> en = catalog_get("enriques_x")
-    >>> t2 = en.module.basis_vector("t2")
-    >>> boundary_with_b(en, en.module.basis_vector("t")) == t2
-    True
-    """
-    steenrod._check_vector(d.module, u)
-    return _ladder(d, u, u[0] % 2)
+    return _ladder(d, u, s)
 
 
 def hilb_restriction(d: ManifoldDescriptor, u: tuple) -> tuple:
     """Restriction to E of the Hilbert-square class of a closed submanifold
-    with Thom class u; defined for even deg(u) only, where it coincides with
-    boundary_with_b(u)."""
+    with Thom class u; defined for even deg(u) only, where it is the
+    boundary twisted by the double cover, ladder(d, u, 0)."""
     if u[0] % 2:
         raise ValueError("hilb_restriction needs an even-degree class")
-    return boundary_with_b(d, u)
+    return ladder(d, u, 0)
 
 
 def betti_exceptional(d: ManifoldDescriptor) -> BettiTable:
@@ -158,12 +164,11 @@ def format_exclass(d: ManifoldDescriptor, c: tuple) -> str:
     """Render as e-power terms, leading power first: 'e^2*h + e*(a+b) + c'.
 
     Names within a coefficient are sorted; the unit coefficient of d prints
-    as a bare power of e. A negative mask or a bit at or above n*N raises
-    UnknownClass.
+    as a bare power of e. Every nonzero block is read through coefficient,
+    so a class that it rejects raises UnknownClass here too.
     """
     width = len(d.module.basis)
     rest = c[1]
-    steenrod._check_mask(rest, d.n * width, "a class of E")
     if not rest:
         return "0"
     parts = []

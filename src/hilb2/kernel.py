@@ -163,7 +163,7 @@ def _witness(d: ManifoldDescriptor, degree: int) -> dict:
     w = row >> size
     k = degree // 2
     p = exdiv.leading_power(d, w)
-    _, coeff = exdiv.coefficient(d, (degree, w), p)
+    _, coeff = exdiv._coefficient(d, (degree, w), p)
     return {"degree": degree, "l": k - p, "e_power": p,
             "coefficient": sorted(d.module.names(coeff)),
             "combination": [(g.family, g.source, g.j)

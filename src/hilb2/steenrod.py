@@ -18,8 +18,8 @@ with no stored square or product has no row. The unit, the first degree-0
 class, is read by its bit too. Names appear only at the edges:
 basis_vector(name) reads one, names(mask) and unit() print them, and an
 unknown name, a negative mask or a bit outside the basis raises
-UnknownClass (_check_mask). sq and the E_X ladders also raise it for a
-class outside the degree of the (degree, mask) pair (_check_vector).
+UnknownClass (_check_mask). sq, ladder and coefficient also raise it for
+a class outside the degree of the (degree, mask) pair (_check_vector).
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
@@ -262,6 +262,8 @@ def validate(m: UnstableModule) -> Report:
     """
     rep = Report()
     top = m.top_degree
+    # class index i -> [(k, Sq^k x_i)] for stored k <= deg x_i, Sq^0 first
+    rows: dict[int, list] = {}
     # graded: every stored square lies in its own degree, at most the top
     # one. Then a Cartan term Sq^j x cup Sq^k y with dx + dy + j + k above
     # the top degree is zero: a product of two classes above it is, and the
@@ -271,6 +273,8 @@ def validate(m: UnstableModule) -> Report:
     for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
                              for k, mask in row.items()):
         u, du = m.basis[i]
+        if k <= du:
+            rows.setdefault(i, [(0, 1 << i)]).append((k, mask))
         for j in _bits(mask):
             t, dt = m.basis[j]
             if dt != du + k:
@@ -288,8 +292,9 @@ def validate(m: UnstableModule) -> Report:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
         rep.add("cartan", NOTE, "no cup table stored; check skipped")
     else:
-        # both sides vanish unless Sq^(deg u) u or u cup u is stored
-        for i in sorted({i for i, row in m.sq.items() if m.basis[i][1] in row}
+        # both sides vanish unless u cup u or Sq^(deg u) u, the last square
+        # of its row, is stored
+        for i in sorted({i for i in rows if rows[i][-1][0] == m.basis[i][1]}
                         | {i for i, j in m.cup if i == j}):
             name, deg = m.basis[i]
             if deg < 1:
@@ -300,15 +305,8 @@ def validate(m: UnstableModule) -> Report:
                 rep.add("square-rule", FAIL,
                         f"Sq^{deg} {name} = {_shown(m, left)} but "
                         f"{name} cup {name} = {_shown(m, right)}")
-        # class index i -> [(k, Sq^k x_i)] for k <= deg x_i, Sq^0 first
-        rows: dict[int, list] = {}
         for (ix, iy), product in sorted(m.cup.items()):
             (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
-            for i in (ix, iy):
-                if i not in rows:
-                    deg = m.basis[i][1]
-                    rows[i] = [(0, 1 << i)] + sorted(
-                        (k, v) for k, v in m.sq.get(i, {}).items() if k <= deg)
             for j in _bits(product):
                 t, dt = m.basis[j]
                 if dt != dx + dy:
@@ -320,10 +318,10 @@ def validate(m: UnstableModule) -> Report:
             left = _squares_of(m.sq, product, dx + dy)
             right: dict[int, int] = {}
             room = top - dx - dy if graded else dx + dy  # the largest j + k
-            for j, vx in rows[ix]:
+            for j, vx in rows.get(ix) or [(0, 1 << ix)]:
                 if j > room:
                     break
-                for k, vy in rows[iy]:
+                for k, vy in rows.get(iy) or [(0, 1 << iy)]:
                     if j + k > room:
                         break
                     if j + k:
@@ -343,11 +341,11 @@ def validate(m: UnstableModule) -> Report:
     # each with every a, max(1, s - deg u) <= a <= (2s - 1) // 3; a relation
     # whose values are all zero passes, so trying it adds no FAIL.
     adem = []
-    for i, row in m.sq.items():  # no stored square: every Sq^x Sq^y u is 0
+    for i, row in rows.items():  # no row: every Sq^x Sq^y u is 0
         name, deg = m.basis[i]
         # (x, y) -> Sq^x Sq^y u, nonzero values only
-        twice = {(x, 0): v for x, v in row.items() if x <= deg}
-        twice.update(((x, y), r) for y, v in row.items() if y <= deg
+        twice = {(x, 0): v for x, v in row[1:]}
+        twice.update(((x, y), r) for y, v in row[1:]
                      for x, r in _squares_of(m.sq, v, deg + y).items() if r)
         for total in {x + y for x, y in twice if x + y <= top}:
             for a in range(max(1, total - deg), (2 * total - 1) // 3 + 1):

@@ -17,8 +17,6 @@ from hilb2 import (
     betti_hilb2_closed,
     betti_hilb2_exact,
     betti_sym2_f2,
-    boundary_no_b,
-    boundary_with_b,
     catalog_get,
     catalog_names,
     catalog_text,
@@ -28,6 +26,7 @@ from hilb2 import (
     integral_sym2,
     kernel_dimensions,
     kernel_generators,
+    ladder,
     load_descriptor,
     parse_descriptor,
     run_suite,
@@ -155,17 +154,17 @@ def test_criterion_06_boundary_formulas():
     for name in catalog_names():
         d = catalog_get(name)
         one = d.module.basis_vector(d.module.unit())
-        if boundary_no_b(d, one)[1]:
+        if ladder(d, one, 1)[1]:
             problems.append((name, "nonzero boundary of the unit"))
         for cls, deg in d.module.basis:
             if deg % 2:
                 continue
             u = d.module.basis_vector(cls)
-            if boundary_with_b(d, u) != hilb_restriction(d, u):
+            if ladder(d, u, 0) != hilb_restriction(d, u):
                 problems.append((name, cls))
     d = catalog_get("enriques_x")
     t2 = d.module.basis_vector("t2")
-    if boundary_with_b(d, d.module.basis_vector("t")) != t2:
+    if ladder(d, d.module.basis_vector("t"), 1) != t2:
         problems.append("enriques bockstein ladder")
     _announce(6, "boundary ladder identities", not problems)
     assert not problems, problems

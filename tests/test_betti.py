@@ -82,9 +82,9 @@ def test_integral_sym2_needs_torsion_free_flag():
 def test_group_profile_mod2_reduction():
     p = GroupProfile("sym2", 8, {0: (1, 0), 3: (1, 0), 5: (0, 1)})
     assert p.mod2_dims() == {0: 1, 3: 1, 5: 1, 6: 1}
-    assert p.free_rank(3) == 1
-    assert p.two_torsion(5) == 1
-    assert p.two_torsion(4) == 0
+    assert p.groups.get(3, (0, 0))[0] == 1
+    assert p.groups.get(5, (0, 0))[1] == 1
+    assert p.groups.get(4, (0, 0))[1] == 0
 
 
 def test_universal_coefficients_on_torsion_free_entries():
@@ -279,7 +279,7 @@ def test_rows_and_reductions_match_their_per_degree_definitions(data, top,
         st.integers(-2, top + 2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
         max_size=8))
     profile = GroupProfile("g", top, groups)
+    get = profile.groups.get
     want = {k: v for k in range(top + 1)
-            if (v := profile.free_rank(k) + profile.two_torsion(k)
-                + profile.two_torsion(k - 1))}
+            if (v := sum(get(k, (0, 0))) + get(k - 1, (0, 0))[1])}
     assert list(profile.mod2_dims().items()) == list(want.items())

@@ -8,14 +8,13 @@ import pytest
 from conftest import e_multiply, parse_only
 from hilb2 import (
     betti_exceptional,
-    boundary_no_b,
-    boundary_with_b,
     catalog_get,
     catalog_names,
     catalog_text,
     coefficient,
     format_exclass,
     hilb_restriction,
+    ladder,
     load_descriptor,
 )
 from hilb2.steenrod import UnknownClass, sq
@@ -52,22 +51,22 @@ def test_coefficient_outside_the_e_powers_is_zero():
     # e-powers run from 0 to n - 1; any other j reads the zero class of
     # degree deg(c) - 2j, for j < 0 as for j >= n
     d = catalog_get("p2")  # n = 2, N = 3
-    c = (4, 0b111111)  # e*(1 + h + h2) + (1 + h + h2), bits 0 to 5
+    c = (4, 0b010100)  # e*h + h2, bits 4 and 2
     assert [coefficient(d, c, j) for j in range(-2, 4)] == [
-        (8, 0), (6, 0), (4, 0b111), (2, 0b111), (0, 0), (-2, 0)]
+        (8, 0), (6, 0), (4, 0b100), (2, 0b010), (0, 0), (-2, 0)]
 
 
 def test_boundary_of_unit_vanishes():
     for name in catalog_names():
         d = catalog_get(name)
         one = d.module.basis_vector(d.module.unit())
-        assert boundary_no_b(d, one) == (-1, 0)
+        assert ladder(d, one, 1) == (-1, 0)
 
 
 def test_boundary_of_a_bit_outside_the_basis_raises():
     d = catalog_get("p2")  # three classes
     with pytest.raises(UnknownClass) as exc:
-        boundary_no_b(d, (2, 1 << 3))
+        ladder(d, (2, 1 << 3), 1)
     assert exc.value.args == ("bit 3 is not a basis class",)
 
 
@@ -78,16 +77,22 @@ def test_a_class_outside_the_pairs_degree_raises():
     calls = [(lambda: sq(m, 2, (1, 0b010)), "class 'h' has degree 2, not 1"),
              (lambda: sq(m, 2, (7, 0b010)), "class 'h' has degree 2, not 7"),
              (lambda: sq(m, 0, (2, 0b110)), "class 'h2' has degree 4, not 2"),
-             (lambda: boundary_no_b(d, (3, 0b010)), "class 'h' has degree 2, not 3"),
-             (lambda: boundary_with_b(d, (3, 0b010)), "class 'h' has degree 2, not 3"),
-             (lambda: hilb_restriction(d, (4, 0b010)), "class 'h' has degree 2, not 4")]
+             (lambda: ladder(d, (3, 0b010), 0), "class 'h' has degree 2, not 3"),
+             (lambda: ladder(d, (3, 0b010), 1), "class 'h' has degree 2, not 3"),
+             (lambda: hilb_restriction(d, (4, 0b010)), "class 'h' has degree 2, not 4"),
+             # on E, bits 3 to 5 are e*1, e*h, e*h2: e*h2 has degree 6
+             (lambda: coefficient(d, (5, 0b010), 0), "class 'h' has degree 2, not 5"),
+             (lambda: coefficient(d, (4, 0b100 << 3), 1), "class 'h2' has degree 4, not 2"),
+             (lambda: format_exclass(d, (5, 0b010)), "class 'h' has degree 2, not 5"),
+             (lambda: format_exclass(d, (4, 0b100 << 3)), "class 'h2' has degree 4, not 2")]
     for call, message in calls:
         with pytest.raises(UnknownClass) as exc:
             call()
         assert exc.value.args == (message,)
     assert sq(m, 2, (2, 0b010)) == (4, 0b100)
     assert sq(m, 2, (5, 0)) == (7, 0)  # a zero vector has any degree
-    assert boundary_with_b(d, (2, 0b010)) == (4, 0b010 << 3 | 0b100)
+    assert ladder(d, (2, 0b010), 0) == (4, 0b010 << 3 | 0b100)
+    assert coefficient(d, (4, 0b010 << 3), 1) == (2, 0b010)
 
 
 def test_format_exclass_of_a_bit_outside_e_raises():
@@ -99,13 +104,17 @@ def test_format_exclass_of_a_bit_outside_e_raises():
         with pytest.raises(UnknownClass) as exc:
             format_exclass(d, (4, 1 << bit))
         assert exc.value.args == (f"bit {bit} is not a class of E",)
+    # coefficient reads the same classes: e^2 is no class of E either
+    with pytest.raises(UnknownClass) as exc:
+        coefficient(d, (4, 1 << 6), 2)
+    assert exc.value.args == ("bit 6 is not a class of E",)
 
 
 def test_boundary_no_b_on_odd_class_starts_with_base_term():
     # deg(u) = 2a+1 gives sum e^(a-i) Sq^(2i) u, whose i = 0 term is e^a u
     d = catalog_get("enriques_x")
     t = d.module.basis_vector("t")
-    out = boundary_no_b(d, t)
+    out = ladder(d, t, 0)
     assert out == (1, t[1])
     assert coefficient(d, out, 0) == t
 
@@ -114,21 +123,21 @@ def test_boundary_no_b_on_even_class_is_odd_square_ladder():
     # for deg(u) = 2 the only term is Sq^1 u
     d = catalog_get("enriques_x")
     x1 = d.module.basis_vector("x1")
-    assert coefficient(d, boundary_no_b(d, x1), 0) == d.module.basis_vector("s")
+    assert coefficient(d, ladder(d, x1, 1), 0) == d.module.basis_vector("s")
     d2 = catalog_get("p2")
-    assert boundary_no_b(d2, d2.module.basis_vector("h")) == (3, 0)
+    assert ladder(d2, d2.module.basis_vector("h"), 1) == (3, 0)
 
 
 def test_boundary_with_b_on_bockstein_class():
     d = catalog_get("enriques_x")
     t = d.module.basis_vector("t")
-    assert boundary_with_b(d, t) == d.module.basis_vector("t2")
+    assert ladder(d, t, 1) == d.module.basis_vector("t2")
 
 
 def test_boundary_with_b_even_ladder_on_projective_plane():
     d = catalog_get("p2")
     h = d.module.basis_vector("h")
-    out = boundary_with_b(d, h)
+    out = ladder(d, h, 0)
     assert out[0] == 4
     assert coefficient(d, out, 1) == h
     assert coefficient(d, out, 0) == d.module.basis_vector("h2")
@@ -142,16 +151,25 @@ def test_boundary_maps_are_additive():
     for _ in range(20):
         u, v = (sum(d.module.basis_vector(n)[1] for n in degree2
                     if rng.random() < 0.5) for _ in range(2))
-        for bdry in (boundary_no_b, boundary_with_b):
-            (deg_u, bu), (deg_v, bv) = bdry(d, (2, u)), bdry(d, (2, v))
+        for s in (1, 0):
+            (deg_u, bu), (deg_v, bv) = ladder(d, (2, u), s), ladder(d, (2, v), s)
             assert deg_u == deg_v
-            assert bdry(d, (2, u ^ v)) == (deg_u, bu ^ bv)
+            assert ladder(d, (2, u ^ v), s) == (deg_u, bu ^ bv)
 
 
 def test_hilb_restriction_rejects_odd_degrees():
     d = catalog_get("enriques_x")
     with pytest.raises(ValueError):
         hilb_restriction(d, d.module.basis_vector("t"))
+
+
+def test_a_ladder_parity_outside_0_and_1_raises():
+    d = catalog_get("p2")
+    h = d.module.basis_vector("h")
+    for s in (2, -1):
+        with pytest.raises(ValueError) as exc:
+            ladder(d, h, s)
+        assert exc.value.args == (f"the square parity s is 0 or 1, not {s}",)
 
 
 def test_hilb_restriction_matches_with_b_ladder_everywhere():
@@ -162,7 +180,7 @@ def test_hilb_restriction_matches_with_b_ladder_everywhere():
             if deg % 2:
                 continue
             u = d.module.basis_vector(cls)
-            assert hilb_restriction(d, u) == boundary_with_b(d, u), (name, cls)
+            assert hilb_restriction(d, u) == ladder(d, u, 0), (name, cls)
 
 
 def test_top_degree_ladder_vanishes():
@@ -171,7 +189,7 @@ def test_top_degree_ladder_vanishes():
     for name in catalog_names():
         d = catalog_get(name)
         top = next(name for name, deg in d.module.basis if deg == 2 * d.n)
-        assert boundary_with_b(d, d.module.basis_vector(top)) == (4 * d.n, 0)
+        assert ladder(d, d.module.basis_vector(top), 0) == (4 * d.n, 0)
 
 
 def test_a_ladder_above_the_top_degree_of_e_is_zero():
@@ -180,10 +198,10 @@ def test_a_ladder_above_the_top_degree_of_e_is_zero():
     # and Sq^1 t = x at n = 2 would give L_1(t) = e*x in degree 7
     d = parse_only(n=1, degrees=[0, 3, 6],
                    sq=[{"k": 3, "from": "c1", "to": ["c2"]}])
-    assert boundary_with_b(d, d.module.basis_vector("c1")) == (6, 0)
+    assert ladder(d, d.module.basis_vector("c1"), 1) == (6, 0)
     d = parse_only(n=2, degrees=[0, 4, 5],
                    sq=[{"k": 1, "from": "c1", "to": ["c2"]}])
-    assert boundary_no_b(d, d.module.basis_vector("c1")) == (7, 0)
+    assert ladder(d, d.module.basis_vector("c1"), 1) == (7, 0)
 
 
 def test_ladder_powers_stay_below_a():
@@ -194,7 +212,7 @@ def test_ladder_powers_stay_below_a():
             if deg == 2 * d.n:
                 continue
             u = d.module.basis_vector(cls)
-            for out in (boundary_no_b(d, u), boundary_with_b(d, u)):
+            for out in (ladder(d, u, 0), ladder(d, u, 1)):
                 lead = leading_power(d, out)
                 assert lead is None or lead <= deg // 2
 
@@ -221,8 +239,7 @@ def test_betti_exceptional_is_shifted_sum_of_base_row():
 
 def test_format_exclass_examples():
     d = catalog_get("p2")
-    ladder = boundary_with_b(d, d.module.basis_vector("h"))
-    assert format_exclass(d, ladder) == "e*h + h2"
+    assert format_exclass(d, ladder(d, d.module.basis_vector("h"), 0)) == "e*h + h2"
     unit_term = e_multiply(d, d.module.basis_vector("1"))
     assert format_exclass(d, unit_term) == "e"
     # the unit is found by its degree, not by its place in the basis
@@ -233,4 +250,4 @@ def test_format_exclass_examples():
     one, h = rev.module.basis_vector("1"), rev.module.basis_vector("h")
     assert format_exclass(rev, e_multiply(rev, one)) == "e"
     assert format_exclass(rev, (2, e_multiply(rev, one)[1] ^ h[1])) == "e + h"
-    assert format_exclass(rev, boundary_with_b(rev, h)) == "e*h + h2"
+    assert format_exclass(rev, ladder(rev, h, 0)) == "e*h + h2"

@@ -1,5 +1,6 @@
-"""Every name a hilb2 module imports is used in that module, and the
-package exports exactly the names its __init__ imports.
+"""Every name a hilb2 module imports is used in that module, every private
+function of the package has a caller, and the package exports exactly the
+names its __init__ imports.
 
 Read with the standard-library ast module only. The package __init__ is
 exempt from the unused-import check, because it imports names to
@@ -7,6 +8,7 @@ re-export them.
 """
 
 import ast
+import collections
 import os
 import types
 
@@ -44,6 +46,42 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_import(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], module
+
+
+def uncalled_private_functions(sources):
+    """The private functions and methods (one leading underscore) defined
+    in the sources that no code outside their own def names, sorted."""
+    trees = [ast.parse(source) for source in sources]
+    named = collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)))
+    uncalled = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                own = sum(1 for inner in ast.walk(node)
+                          if node.name in (getattr(inner, "id", None),
+                                           getattr(inner, "attr", None)))
+                if named[node.name] == own:
+                    uncalled.append(node.name)
+    return sorted(uncalled)
+
+
+def test_the_check_sees_a_private_function_without_a_caller():
+    a = "def _used():\n    return _loop()\n\ndef _loop():\n    return 1\n"
+    b = ("import a\n\ndef _alone(n):\n    return _alone(n - 1)\n\n"
+         "class C:\n    def _method(self):\n        return a._used()\n")
+    assert uncalled_private_functions([a, b]) == ["_alone", "_method"]
+
+
+def test_every_private_function_has_a_caller():
+    sources = []
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert uncalled_private_functions(sources) == []
 
 
 def test_the_package_exports_exactly_what_its_init_imports():

@@ -166,10 +166,11 @@ def assert_corollary_exact(d, gens, got, reference=corollary_by_span):
         for _, mask in picked:
             w ^= mask
         assert w.bit_length() == failing[degree]
+        # the tables may break grading, so the leading block is read
+        # without coefficient's degree check
         k, p = degree // 2, (w.bit_length() - 1) // width
-        _, coeff = exdiv.coefficient(d, (degree, w), p)
         assert (e.details["l"], e.details["e_power"]) == (k - p, p)
-        assert e.details["coefficient"] == sorted(d.module.names(coeff))
+        assert e.details["coefficient"] == sorted(d.module.names(w >> p * width))
 
 
 def random_table(rng, sq1=True):
@@ -239,7 +240,7 @@ def test_ladder_matches_one_sq_call_per_term(rng):
         assert exdiv._ladder(d, u, s) == ladder_by_sq(d, u, t, s, r + s + 2 * t)
     if bits & ~of_degree(degree):
         with pytest.raises(UnknownClass):
-            exdiv.boundary_no_b(d, (degree, bits))
+            exdiv.ladder(d, (degree, bits), s)
 
 
 def test_ladder_carry_rule_on_explicit_cases():

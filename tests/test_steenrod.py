@@ -100,7 +100,8 @@ def test_a_negative_mask_is_named_at_every_edge_check():
     calls = {"names": lambda: m.names(-2),
              "cup_product": lambda: m.cup_product(0b010, -2),
              "sq": lambda: sq(m, 1, (2, -2)),
-             "boundary_with_b": lambda: exdiv.boundary_with_b(d, (2, -2)),
+             "ladder": lambda: exdiv.ladder(d, (2, -2), 0),
+             "coefficient": lambda: exdiv.coefficient(d, (4, -2), 0),
              "format_exclass": lambda: exdiv.format_exclass(d, (4, -2))}
     for name, call in calls.items():
         with pytest.raises(UnknownClass) as exc:
