@@ -1,5 +1,7 @@
 """Betti numbers of the symmetric square, the configuration space, and the
-Hilbert square, plus integral homology of the symmetric square.
+Hilbert square, plus integral homology of the symmetric square as a
+GroupProfile, a named tuple that keeps only the degrees with a nonzero
+free rank or Z/2 count.
 
 Every table here but the exact-sequence route depends only on the Betti
 row b_k of X, following Macdonald's count for symmetric products. Each is a
@@ -22,8 +24,7 @@ the diagonal in the symmetric square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
 
 from . import kernel, steenrod
 from .exdiv import betti_exceptional
@@ -40,17 +41,16 @@ class NegativeRank(ArithmeticError):
     descriptor's Sq data is inconsistent with the stated Betti numbers."""
 
 
-@dataclass(frozen=True)
-class GroupProfile:
+class GroupProfile(namedtuple("GroupProfile", "label top groups")):
     """Finitely generated 2-local homology: degree -> (free rank, Z/2 count)."""
 
-    label: str
-    top: int
-    groups: Mapping[int, tuple]
+    __slots__ = ()
 
-    def __post_init__(self):
-        clean = {k: (f, t) for k, (f, t) in self.groups.items() if f or t}
-        object.__setattr__(self, "groups", clean)
+    def __new__(cls, label: str, top: int, groups):
+        clean = {k: (f, t) for k, (f, t) in groups.items() if f or t}
+        return super().__new__(cls, label, top, clean)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # as in BettiTable
 
     def mod2_dims(self) -> dict[int, int]:
         """Mod-2 dimensions by universal coefficients: free + torsion from

@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import betti as betti_mod
 from . import exdiv, kernel, spaces, verify
@@ -194,7 +193,7 @@ def cmd_catalog(args) -> int:
     print(f"compact: {str(d.compact).lower()}")
     print("betti_x:", *spaces.betti_of_x(d).as_row())
     print(f"sq1_zero: {str(is_sq1_zero(d.module)).lower()}")
-    for flag, value in asdict(d.integral).items():
+    for flag, value in d.integral._asdict().items():
         print(f"{flag}: {str(value).lower()}")
     return 0
 

@@ -34,7 +34,7 @@ all: its only nonzero ladder is e^t u.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import steenrod
 from .spaces import BettiTable, ManifoldDescriptor, ladder_counts

@@ -17,7 +17,7 @@ kernel and loader alike.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def pivots(rows: Iterable[int]) -> dict[int, int]:

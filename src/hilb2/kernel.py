@@ -36,8 +36,7 @@ only families 1-2 and never fails.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from . import exdiv, gf2, steenrod
 from .report import FAIL, PASS, Report
@@ -45,29 +44,30 @@ from .spaces import ManifoldDescriptor, once
 from .steenrod import Sq1NotZero
 
 
-class KernelGenerator(NamedTuple):
-    family: int  # 1..4
-    source: str  # basis class u
-    j: int  # e-power multiplying the ladder
-    degree: int  # degree of the class on E
-    mask: int  # the class on E, in exdiv's bit layout
+class KernelGenerator(namedtuple("KernelGenerator",
+                                 "family source j degree mask")):
+    """family 1..4; source, the basis class u; j, the e-power multiplying
+    the ladder; degree and mask, the class on E in exdiv's bit layout."""
+
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
         return not self.mask
 
 
-class _Pool(NamedTuple):
-    """The generators of one degree, counted and brought to echelon form."""
-    count: int
-    rank: int
-    low: int  # the pivot with the lowest leading bit
+# the generators of one degree, counted and brought to echelon form; low is
+# the pivot with the lowest leading bit
+_Pool = namedtuple("_Pool", "count rank low")
 
 
 def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
     """The nonzero generators of all four families in declaration order of
     u, s inner, j innermost; a zero ladder is not listed. The list is built
     once per descriptor and shared by every call, so treat it as read-only.
+    Printing a generator with exdiv.format_exclass needs a descriptor with
+    no degree-shift FAIL, such as a loaded one; on a parse-only descriptor
+    whose stored squares break grading it can raise UnknownClass.
     """
     return once(d, "kernel_generators", lambda: _build_generators(d))
 

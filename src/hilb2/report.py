@@ -1,27 +1,30 @@
-"""Structured pass/fail/note reports shared by the validators and the check suite."""
+"""Structured pass/fail/note reports shared by the validators and the check suite.
+
+An Entry is a named tuple, and a Report a one-field named tuple around its
+list of entries; both compare and print by their fields.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
 NOTE = "note"
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One report line: which check ran, how it ended, and the evidence."""
-
-    check: str
-    status: str  # "pass", "fail" or "note"
-    details: object = ""  # str for prose, dict for machine-readable payloads
+Entry = namedtuple("Entry", "check status details", defaults=("",))
+Entry.__doc__ = """One report line: which check ran, how it ended ("pass", "fail"
+or "note"), and the evidence: str for prose, dict for machine-readable
+payloads."""
 
 
-@dataclass
-class Report:
-    entries: list[Entry] = field(default_factory=list)
+class Report(namedtuple("Report", "entries")):
+    __slots__ = ()
+
+    def __new__(cls, entries: list[Entry] | None = None):
+        return super().__new__(cls, [] if entries is None else entries)
 
     def add(self, check: str, status: str, details: object = "") -> None:
         if status not in (PASS, FAIL, NOTE):

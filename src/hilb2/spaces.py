@@ -33,15 +33,19 @@ name the classes of a mask, in basis order.
 load_descriptor returns a fully validated descriptor or raises:
 DescriptorError (with a location) for structural problems, InvalidDescriptor
 (carrying the report) for axiom or invariant violations.
+
+ManifoldDescriptor, IntegralFlags and BettiTable are named tuples with
+read-only fields. A BettiTable keeps only nonzero dimensions and rejects a
+degree outside [0, top] or a negative dimension, on _replace as well.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable
+from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Mapping
 
 from . import gf2, steenrod
 from .report import FAIL, Report
@@ -65,23 +69,22 @@ class InvalidDescriptor(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class IntegralFlags:
-    two_torsion_free: bool = False
-    torsion_free: bool = False
-    even_degrees_only: bool = False
+IntegralFlags = namedtuple(
+    "IntegralFlags", "two_torsion_free torsion_free even_degrees_only",
+    defaults=(False, False, False))
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
-    name: str
-    n: int  # complex dimension
-    compact: bool
-    module: UnstableModule
-    integral: IntegralFlags
-    # per-descriptor results of the shared stages; see once()
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+class ManifoldDescriptor(namedtuple("ManifoldDescriptor",
+                                    "name n compact module integral")):
+    """A descriptor of X: its name, complex dimension n, compactness, the
+    UnstableModule of H*(X; F_2) and its IntegralFlags."""
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Per-descriptor results of the shared stages; see once(). Held in
+        the instance __dict__, so equality and repr ignore it and a
+        descriptor made by _replace starts with an empty one."""
+        return {}
 
 
 def once(d: ManifoldDescriptor, key, compute: Callable):
@@ -95,25 +98,24 @@ def once(d: ManifoldDescriptor, key, compute: Callable):
     return d._memo[key]
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(namedtuple("BettiTable", "label top dims noncompact")):
     """Sparse row of mod-2 dimensions for one space, degrees 0..top."""
 
-    label: str
-    top: int
-    dims: Mapping[int, int]
-    noncompact: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, label: str, top: int, dims, noncompact: bool = False):
         clean = {}
-        for k, v in self.dims.items():
-            if not 0 <= k <= self.top:
-                raise ValueError(f"degree {k} outside [0, {self.top}]")
+        for k, v in dims.items():
+            if not 0 <= k <= top:
+                raise ValueError(f"degree {k} outside [0, {top}]")
             if v < 0:
                 raise ValueError(f"negative dimension at degree {k}")
             if v:
                 clean[k] = v
-        object.__setattr__(self, "dims", clean)
+        return super().__new__(cls, label, top, clean, noncompact)
+
+    # _replace builds through _make: send it through the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -271,7 +273,7 @@ def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
         cup[key] = mask
 
     integral = raw.get("integral", {})
-    _expect_keys(integral, {}, {f.name: bool for f in fields(IntegralFlags)},
+    _expect_keys(integral, {}, dict.fromkeys(IntegralFlags._fields, bool),
                  "integral")
 
     module = UnstableModule(tuple(basis), sq, cup, 2 * n)
@@ -414,7 +416,7 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
         out["cup"] = [{"a": m.basis[i][0], "b": m.basis[j][0],
                        "result": m.names(mask)}
                       for (i, j), mask in sorted(m.cup.items())]
-    out["integral"] = asdict(d.integral)
+    out["integral"] = d.integral._asdict()
     return json.dumps(out, indent=2) + "\n"
 
 

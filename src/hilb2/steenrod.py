@@ -1,7 +1,9 @@
 """Finitely presented unstable modules over the mod-2 Steenrod algebra.
 
 A module is a graded basis with a sparse action of the squares Sq^k, and
-optionally a cup product table. The axioms checked by validate():
+optionally a cup product table, held in an UnstableModule: a named tuple
+with read-only fields, whose lookups built from the basis are cached
+properties in its instance __dict__. The axioms checked by validate():
 
   degree shift   Sq^k maps degree d to degree d + k
   instability    Sq^k u = 0 for k > deg(u)
@@ -44,10 +46,9 @@ computed once per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Mapping
 
 from .report import FAIL, NOTE, Report
 
@@ -60,8 +61,7 @@ class Sq1NotZero(ValueError):
     """Raised when an operation requires Sq^1 = 0 and the module has Sq^1 != 0."""
 
 
-@dataclass(frozen=True, eq=True)
-class UnstableModule:
+class UnstableModule(namedtuple("UnstableModule", "basis sq cup top_degree")):
     """Graded basis, sparse Sq table, optional cup table, top nonzero degree.
 
     basis entries are (name, degree) in declaration order, and class i is
@@ -71,11 +71,6 @@ class UnstableModule:
     their product, or is None when the product structure is unknown. Both
     tables are stored once and read in place.
     """
-
-    basis: tuple
-    sq: Mapping[int, Mapping[int, int]]
-    cup: Mapping[tuple, int] | None
-    top_degree: int
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -1,6 +1,7 @@
 """Every name a hilb2 module imports is used in that module, every private
-function of the package has a caller, and the package exports exactly the
-names its __init__ imports.
+function of the package has a caller, the package exports exactly the
+names its __init__ imports, and importing it loads no dataclasses, inspect
+or typing.
 
 Read with the standard-library ast module only. The package __init__ is
 exempt from the unused-import check, because it imports names to
@@ -10,6 +11,8 @@ re-export them.
 import ast
 import collections
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -96,3 +99,13 @@ def test_the_package_exports_exactly_what_its_init_imports():
     assert star.keys() - {"__builtins__"} == set(hilb2.__all__)
     assert not [name for name in hilb2.__all__
                 if isinstance(getattr(hilb2, name), types.ModuleType)]
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site from loading typing before hilb2 is imported
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(os.path.join(SRC, os.pardir)))
+    code = ("import hilb2, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"

@@ -12,6 +12,8 @@ from hilb2 import (
     catalog_names,
     corollary_check,
     descriptor_to_json,
+    descriptor_violations,
+    format_exclass,
     kernel,
     kernel_dimensions,
     kernel_generators,
@@ -20,7 +22,7 @@ from hilb2 import (
     run_suite,
 )
 from hilb2.gf2 import span_dims_by_degree
-from hilb2.steenrod import Sq1NotZero
+from hilb2.steenrod import Sq1NotZero, UnknownClass
 
 FROZEN_DIMS = {
     "p1": {0: 1},
@@ -127,6 +129,19 @@ def test_kernel_generators_shares_one_list_per_descriptor():
     assert kernel_generators(d) is kernel_generators(d)
     run_suite(d)
     assert kernel_generators(d) is kernel_generators(d)
+
+
+def test_generators_of_a_descriptor_with_a_degree_shift_fail_may_not_print():
+    # Sq^3 of a degree-3 class stored in degree 0: parse_descriptor keeps it,
+    # and the family-4 ladders of c1 carry c0 into degrees 6 and 8
+    d = parse_only(n=4, degrees=[0, 3, 8],
+                   sq=[{"k": 3, "from": "c1", "to": ["c0"]}])
+    assert "degree-shift" in {e.check for e in descriptor_violations(d).failures}
+    bad = [g for g in kernel_generators(d) if g.family == 4]
+    assert [(g.degree, g.mask) for g in bad] == [(6, 0b1), (8, 0b1000)]
+    for g in bad:
+        with pytest.raises(UnknownClass, match="'c0' has degree 0, not 6"):
+            format_exclass(d, (g.degree, g.mask))
 
 
 def test_sq2_perturbation_leaves_kernel_dimensions_alone():
