@@ -7,57 +7,53 @@ of the exceptional divisor, the symmetric square, the configuration
 complement, and the Hilbert square, plus the kernel of the pushforward
 from the exceptional divisor and, for torsion-free inputs, the integral
 homology of the symmetric square.
+
+`_EXPORTS` is the one list of exports. Importing the package loads none of
+its modules: each loads on the first use of its name or of a name it
+exports. `validate_module` is `steenrod.validate`.
 """
 
-from types import ModuleType as _ModuleType
-
-from .betti import (
-    GroupProfile,
-    NegativeRank,
-    TorsionFlagRequired,
-    betti_config,
-    betti_hilb2_closed,
-    betti_hilb2_exact,
-    betti_sym2_f2,
-    integral_sym2,
-)
-from .catalog import UnknownCatalogName, catalog_get, catalog_names, catalog_text
-from .exdiv import (
-    betti_exceptional,
-    coefficient,
-    format_exclass,
-    hilb_restriction,
-    ladder,
-)
-from .gf2 import span_dims_by_degree
-from .kernel import (
-    KernelGenerator,
-    corollary_check,
-    kernel_dimensions,
-    kernel_generators,
-    redundant_degrees,
-)
-from .report import Report
-from .spaces import (
-    BettiTable,
-    DescriptorError,
-    IntegralFlags,
-    InvalidDescriptor,
-    ManifoldDescriptor,
-    betti_of_x,
-    descriptor_to_json,
-    descriptor_violations,
-    load_descriptor,
-    parse_descriptor,
-)
-from .steenrod import Sq1NotZero, UnknownClass, UnstableModule, adem_expand, is_sq1_zero, sq
-from .steenrod import validate as validate_module
-from .verify import check_duality, check_euler, known_answers, run_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the imports above are the list of exports: every public name they bind
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_")
-                 and not isinstance(value, _ModuleType))
-__all__.append("__version__")
+# module -> the names the package exports from it
+_EXPORTS = {
+    "betti": ("GroupProfile", "NegativeRank", "TorsionFlagRequired",
+              "betti_config", "betti_hilb2_closed", "betti_hilb2_exact",
+              "betti_sym2_f2", "integral_sym2"),
+    "catalog": ("UnknownCatalogName", "catalog_get", "catalog_names",
+                "catalog_text"),
+    "exdiv": ("betti_exceptional", "coefficient", "format_exclass",
+              "hilb_restriction", "ladder"),
+    "gf2": ("span_dims_by_degree",),
+    "kernel": ("KernelGenerator", "corollary_check", "kernel_dimensions",
+               "kernel_generators", "redundant_degrees"),
+    "report": ("Report",),
+    "spaces": ("BettiTable", "DescriptorError", "IntegralFlags",
+               "InvalidDescriptor", "ManifoldDescriptor", "betti_of_x",
+               "descriptor_to_json", "descriptor_violations",
+               "load_descriptor", "parse_descriptor"),
+    "steenrod": ("Sq1NotZero", "UnknownClass", "UnstableModule",
+                 "adem_expand", "is_sq1_zero", "sq", "validate_module"),
+    "verify": ("check_duality", "check_euler", "known_answers", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    # read from the module on every access and never stored here, so a
+    # name rebound in its module is rebound in the package too
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_MODULE_OF[name]}", __name__)
+    return getattr(module, "validate" if name == "validate_module" else name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

@@ -1,11 +1,9 @@
 """Every name a hilb2 module imports is used in that module, every private
 function of the package has a caller, the package exports exactly the
-names its __init__ imports, and importing it loads no dataclasses, inspect
-or typing.
+names of its export table, importing it loads none of its modules until
+one is used, and loading them all loads no dataclasses, inspect or typing.
 
-Read with the standard-library ast module only. The package __init__ is
-exempt from the unused-import check, because it imports names to
-re-export them.
+The source checks read with the standard-library ast module only.
 """
 
 import ast
@@ -21,8 +19,10 @@ import hilb2
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "hilb2")
-MODULES = sorted(f for f in os.listdir(SRC)
-                 if f.endswith(".py") and f != "__init__.py")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+# the modules whose names the package exports; cli is its front end
+PACKAGE_MODULES = ["betti", "catalog", "exdiv", "gf2", "kernel", "report",
+                   "spaces", "steenrod", "verify"]
 
 
 def unused_imports(source):
@@ -81,31 +81,73 @@ def test_the_check_sees_a_private_function_without_a_caller():
 
 def test_every_private_function_has_a_caller():
     sources = []
-    for module in MODULES + ["__init__.py"]:
+    for module in MODULES:
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             sources.append(fh.read())
     assert uncalled_private_functions(sources) == []
 
 
-def test_the_package_exports_exactly_what_its_init_imports():
-    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level
-                for alias in node.names}
-    assert hilb2.__all__ == sorted(imported) + ["__version__"]
+# the public names, pinned so that any change to the export table shows here
+EXPORTS = [
+    "BettiTable", "DescriptorError", "GroupProfile", "IntegralFlags",
+    "InvalidDescriptor", "KernelGenerator", "ManifoldDescriptor",
+    "NegativeRank", "Report", "Sq1NotZero", "TorsionFlagRequired",
+    "UnknownCatalogName", "UnknownClass", "UnstableModule", "adem_expand",
+    "betti_config", "betti_exceptional", "betti_hilb2_closed",
+    "betti_hilb2_exact", "betti_of_x", "betti_sym2_f2", "catalog_get",
+    "catalog_names", "catalog_text", "check_duality", "check_euler",
+    "coefficient", "corollary_check", "descriptor_to_json",
+    "descriptor_violations", "format_exclass", "hilb_restriction",
+    "integral_sym2", "is_sq1_zero", "kernel_dimensions", "kernel_generators",
+    "known_answers", "ladder", "load_descriptor", "parse_descriptor",
+    "redundant_degrees", "run_suite", "span_dims_by_degree", "sq",
+    "validate_module", "__version__"]
+
+
+def test_the_package_exports_exactly_the_names_of_its_table():
+    assert hilb2.__all__ == EXPORTS
+    for module, names in hilb2._EXPORTS.items():
+        for name in set(names) - {"validate_module"}:
+            assert getattr(hilb2, name) is getattr(getattr(hilb2, module), name), name
+    assert hilb2.validate_module is hilb2.steenrod.validate
     star = {}
     exec("from hilb2 import *", star)
     assert star.keys() - {"__builtins__"} == set(hilb2.__all__)
-    assert not [name for name in hilb2.__all__
-                if isinstance(getattr(hilb2, name), types.ModuleType)]
+    assert not [name for name, value in star.items()
+                if isinstance(value, types.ModuleType)]
+    assert set(hilb2.__all__) <= set(dir(hilb2))
+
+
+def test_an_unknown_name_is_not_in_the_package():
+    with pytest.raises(AttributeError, match="module 'hilb2' has no attribute 'nope'"):
+        hilb2.nope
+    with pytest.raises(ImportError, match="cannot import name 'nope' from 'hilb2'"):
+        exec("from hilb2 import nope", {})
+
+
+def run_without_site(code):
+    """The stdout of `python -S -c code` with the package on its path; -S
+    keeps site from loading modules before the code runs."""
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(os.path.join(SRC, os.pardir)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout
+
+
+def test_a_lazy_import_stays_lazy():
+    loaded = "sorted(m for m in sys.modules if m.startswith('hilb2'))"
+    out = run_without_site(
+        f"import hilb2, sys; print({loaded}); hilb2.load_descriptor; print({loaded}); "
+        f"print([getattr(hilb2, m).__name__ for m in {PACKAGE_MODULES}])")
+    assert out.splitlines() == [
+        "['hilb2']",
+        "['hilb2', 'hilb2.gf2', 'hilb2.report', 'hilb2.spaces', 'hilb2.steenrod']",
+        str([f"hilb2.{m}" for m in PACKAGE_MODULES])]
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site from loading typing before hilb2 is imported
-    env = dict(os.environ, PYTHONPATH=os.path.normpath(os.path.join(SRC, os.pardir)))
-    code = ("import hilb2, sys; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "[]\n"
+    out = run_without_site(
+        "import hilb2.cli, sys; from hilb2 import *; "
+        "print(len([m for m in sys.modules if m.startswith('hilb2.')])); "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert out == "10\n[]\n"
