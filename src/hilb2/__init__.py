@@ -13,7 +13,7 @@ its modules: each loads on the first use of its name or of a name it
 exports. `validate_module` is `steenrod.validate`.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -45,13 +45,13 @@ __all__ = sorted(_MODULE_OF) + ["__version__"]
 
 
 def __getattr__(name):
-    # read from the module on every access and never stored here, so a
-    # name rebound in its module is rebound in the package too
+    # read from its module on every access, never stored here, so a name
+    # rebound in its module is rebound here too; a loaded module is a global
     if name in _EXPORTS:
-        return import_module(f".{name}", __name__)
+        return _import_module(f".{name}", __name__)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_MODULE_OF[name]}", __name__)
+    module = globals().get(_MODULE_OF[name]) or __getattr__(_MODULE_OF[name])
     return getattr(module, "validate" if name == "validate_module" else name)
 
 

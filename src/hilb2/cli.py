@@ -13,9 +13,8 @@ import json
 import os
 import sys
 
-from . import betti as betti_mod
-from . import exdiv, kernel, spaces, verify
-from .betti import NegativeRank, TorsionFlagRequired
+import hilb2  # reads betti, exdiv, kernel, verify; each loads on first use
+from . import spaces
 from .catalog import UnknownCatalogName, catalog_names, catalog_text
 from .report import Report
 from .spaces import DescriptorError, ManifoldDescriptor
@@ -105,17 +104,17 @@ def cmd_betti(args) -> int:
     if method != "both":
         table = {  # --space hilb2 is keyed by its method
             "x": spaces.betti_of_x,
-            "exceptional": exdiv.betti_exceptional,
-            "sym2": betti_mod.betti_sym2_f2,
-            "config": betti_mod.betti_config,
-            "exact": betti_mod.betti_hilb2_exact,
-            "closed": betti_mod.betti_hilb2_closed,
+            "exceptional": hilb2.exdiv.betti_exceptional,
+            "sym2": hilb2.betti.betti_sym2_f2,
+            "config": hilb2.betti.betti_config,
+            "exact": hilb2.betti.betti_hilb2_exact,
+            "closed": hilb2.betti.betti_hilb2_closed,
         }[method or args.space](d)
         _caveat(d, args.format)
         _emit_table(table, args.format, method)
         return 0
-    exact = betti_mod.betti_hilb2_exact(d)
-    closed = betti_mod.betti_hilb2_closed(d)
+    exact = hilb2.betti.betti_hilb2_exact(d)
+    closed = hilb2.betti.betti_hilb2_closed(d)
     agree = exact == closed
     _caveat(d, args.format)
     if args.format == "json":
@@ -135,23 +134,23 @@ def cmd_betti(args) -> int:
 
 def cmd_kernel(args) -> int:
     d = _load(args.path)
-    dims = kernel.kernel_dimensions(d)
+    dims = hilb2.kernel.kernel_dimensions(d)
     if args.degree is not None:
         print(f"{args.degree}: {dims.get(args.degree, 0)}")
     else:
         print(" ".join(f"{k}:{v}" for k, v in sorted(dims.items())))
     if args.generators:
-        for g in kernel.kernel_generators(d):
+        for g in hilb2.kernel.kernel_generators(d):
             if args.degree is not None and g.degree != args.degree:
                 continue
             print(f"degree {g.degree}: family {g.family}, u={g.source}, "
-                  f"j={g.j}: {exdiv.format_exclass(d, (g.degree, g.mask))}")
+                  f"j={g.j}: {hilb2.exdiv.format_exclass(d, (g.degree, g.mask))}")
     return 0
 
 
 def cmd_integral(args) -> int:
     d = _load(args.path)
-    profile = betti_mod.integral_sym2(d)
+    profile = hilb2.betti.integral_sym2(d)
     for k in sorted(profile.groups):
         free, tors = profile.groups[k]
         parts = []
@@ -165,7 +164,7 @@ def cmd_integral(args) -> int:
 
 def cmd_check(args) -> int:
     d = _load(args.path)
-    rep = verify.run_suite(d)
+    rep = hilb2.verify.run_suite(d)
     _print_report(rep, args.json)
     return 0 if rep.ok else 2
 
@@ -262,7 +261,9 @@ def main(argv=None) -> int:
     except spaces.InvalidDescriptor as exc:
         _print_report(exc.report, False)
         return 2
-    except (Sq1NotZero, TorsionFlagRequired, NegativeRank) as exc:
+    # evaluated only once an exception gets here, so betti loads only then
+    except (Sq1NotZero, hilb2.betti.TorsionFlagRequired,
+            hilb2.betti.NegativeRank) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -252,7 +252,7 @@ DISAGREE = "closed: 1 0 0 0 0 0 0 0 0\nmethods disagree\n"
 def test_betti_both_disagreement_exits_three(fmt, expected, tmp_path, capsys,
                                              monkeypatch):
     wrong = BettiTable("hilb2", 8, {0: 1})
-    monkeypatch.setattr(cli.betti_mod, "betti_hilb2_closed", lambda d: wrong)
+    monkeypatch.setattr(hilb2.betti, "betti_hilb2_closed", lambda d: wrong)
     paths = ("k3", write_descriptor(tmp_path, NONCOMPACT))
     for path, (out, err) in zip(paths, expected):
         assert run_both(path, fmt, capsys) == (3, out, err), path

@@ -1,7 +1,8 @@
 """Every name a hilb2 module imports is used in that module, every private
 function of the package has a caller, the package exports exactly the
 names of its export table, importing it loads none of its modules until
-one is used, and loading them all loads no dataclasses, inspect or typing.
+one is used, a command loads only the modules it uses, and loading them
+all loads no dataclasses, inspect or typing.
 
 The source checks read with the standard-library ast module only.
 """
@@ -134,15 +135,28 @@ def run_without_site(code):
     return done.stdout
 
 
+LOADED = "sorted(m for m in sys.modules if m.startswith('hilb2'))"
+
+
 def test_a_lazy_import_stays_lazy():
-    loaded = "sorted(m for m in sys.modules if m.startswith('hilb2'))"
     out = run_without_site(
-        f"import hilb2, sys; print({loaded}); hilb2.load_descriptor; print({loaded}); "
+        f"import hilb2, sys; print({LOADED}); hilb2.load_descriptor; print({LOADED}); "
         f"print([getattr(hilb2, m).__name__ for m in {PACKAGE_MODULES}])")
     assert out.splitlines() == [
         "['hilb2']",
         "['hilb2', 'hilb2.gf2', 'hilb2.report', 'hilb2.spaces', 'hilb2.steenrod']",
         str([f"hilb2.{m}" for m in PACKAGE_MODULES])]
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["validate", "p2"], []), (["catalog", "show", "p2"], []),
+    (["kernel", "p2"], ["exdiv", "kernel"]),
+    (["check", "p2"], ["betti", "exdiv", "kernel", "verify"])])
+def test_a_command_loads_only_the_modules_it_uses(argv, extra):
+    out = run_without_site(
+        f"import hilb2.cli, sys; code = hilb2.cli.main({argv}); print(code, {LOADED})")
+    used = ["catalog", "cli", "gf2", "report", "spaces", "steenrod"] + extra
+    assert out.splitlines()[-1] == f"0 {['hilb2'] + [f'hilb2.{m}' for m in sorted(used)]}"
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
