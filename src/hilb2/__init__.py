@@ -10,7 +10,7 @@ homology of the symmetric square.
 
 `_EXPORTS` is the one list of exports. Importing the package loads none of
 its modules: each loads on the first use of its name or of a name it
-exports. `validate_module` is `steenrod.validate`.
+exports.
 """
 
 from importlib import import_module as _import_module
@@ -52,7 +52,7 @@ def __getattr__(name):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = globals().get(_MODULE_OF[name]) or __getattr__(_MODULE_OF[name])
-    return getattr(module, "validate" if name == "validate_module" else name)
+    return getattr(module, name)
 
 
 def __dir__():

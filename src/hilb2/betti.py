@@ -22,8 +22,6 @@ where E, C are the tables for the exceptional divisor and the complement of
 the diagonal in the symmetric square.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import kernel, steenrod

@@ -21,8 +21,6 @@ loader, and exports reproduce these bytes exactly. A name always means the
 built-in entry; another descriptor is passed by its file path.
 """
 
-from __future__ import annotations
-
 import json
 from math import comb
 

@@ -5,8 +5,6 @@ unknown name, bad flags), 2 mathematical failure or axiom violation,
 3 method disagreement in betti --method both.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -87,13 +85,12 @@ def _emit_table(t: spaces.BettiTable, fmt: str, method: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    d = spaces.parse_descriptor(_read_source(args.path))
-    rep = spaces.descriptor_violations(d)
-    if rep.ok and not rep.entries:
+    rep = spaces.descriptor_violations(_load(args.path))  # it loaded: notes only
+    if not rep.entries:
         rep = Report()  # the violations report is shared; never extend it
         rep.add("validate", "pass", "no axiom or invariant violations")
     _print_report(rep, args.json)
-    return 0 if rep.ok else 2
+    return 0
 
 
 def cmd_betti(args) -> int:
@@ -258,8 +255,8 @@ def main(argv=None) -> int:
         # OSError: an input that cannot be read, an -o that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except spaces.InvalidDescriptor as exc:
-        _print_report(exc.report, False)
+    except spaces.InvalidDescriptor as exc:  # raised only once args is bound
+        _print_report(exc.report, vars(args).get("json", False))
         return 2
     # evaluated only once an exception gets here, so betti loads only then
     except (Sq1NotZero, hilb2.betti.TorsionFlagRequired,

@@ -32,8 +32,6 @@ blocks of N. A class with no stored square needs no ladder computation at
 all: its only nonzero ladder is e^t u.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 
 from . import steenrod

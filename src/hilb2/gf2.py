@@ -14,8 +14,6 @@ span. pivots_by_degree, the one routine that groups rows by degree, serves
 kernel and loader alike.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 from collections.abc import Iterable
 

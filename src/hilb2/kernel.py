@@ -34,8 +34,6 @@ states how many even degrees were decided. A loaded Sq^1 = 0 descriptor has
 only families 1-2 and never fails.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 
 from . import exdiv, gf2, steenrod

@@ -4,8 +4,6 @@ An Entry is a named tuple, and a Report a one-field named tuple around its
 list of entries; both compare and print by their fields.
 """
 
-from __future__ import annotations
-
 import json
 from collections import namedtuple
 

@@ -39,8 +39,6 @@ read-only fields. A BettiTable keeps only nonzero dimensions and rejects a
 degree outside [0, top] or a negative dimension, on _replace as well.
 """
 
-from __future__ import annotations
-
 import json
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable

@@ -44,8 +44,6 @@ where some Sq^x Sq^y u of it is nonzero; each expansion of Sq^a Sq^b is
 computed once per process.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import comb
@@ -355,3 +353,6 @@ def validate(m: UnstableModule) -> Report:
     for *_, message in sorted(adem):
         rep.add("adem", FAIL, message)
     return rep
+
+
+validate_module = validate  # the package exports validate by this name

@@ -11,8 +11,6 @@ hypotheses fail are recorded as notes rather than silently skipped, so a
 report always shows the same set of check names for a given kind of input.
 """
 
-from __future__ import annotations
-
 from . import betti, kernel, spaces, steenrod
 from .report import FAIL, NOTE, PASS, Report
 from .spaces import BettiTable, ManifoldDescriptor

@@ -367,9 +367,16 @@ def test_cached_parser_keeps_no_flag_between_calls(capsys):
 
 def test_check_fails_on_invalid_descriptor(tmp_path, capsys):
     obj = descriptor_obj(n=1, degrees=[0, 0, 2])
-    code, out, _ = run(["check", write_descriptor(tmp_path, obj)], capsys)
+    path = write_descriptor(tmp_path, obj)
+    code, out, _ = run(["check", path], capsys)
     assert code == 2
     assert "connectedness" in out
+    # under --json the failure report is JSON too, the list validate prints
+    code, out, _ = run(["check", path, "--json"], capsys)
+    assert code == 2
+    assert ("connectedness", "fail") in [(e["check"], e["status"])
+                                         for e in json.loads(out)]
+    assert out == run(["validate", path, "--json"], capsys)[1]
 
 
 def test_check_rejects_sq1_into_the_top_degree(tmp_path, capsys):

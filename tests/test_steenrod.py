@@ -5,6 +5,7 @@ import os
 import random
 import sys
 from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,42 @@ def test_adem_small_expansions():
     assert adem_expand(3, 2) == []
     assert adem_expand(1, 3) == []
     assert set(adem_expand(2, 4)) == {(6, 0), (5, 1)}
+
+
+@cache
+def _sq_monomial(t: int, e: tuple) -> frozenset:
+    """Sq^t x^e in F_2[x_1, x_2, ...] with every x_i of degree 1, as a set of
+    exponent tuples: the Cartan formula with Sq^s x^k = C(k, s) x^(k+s)."""
+    if not e:
+        return frozenset([()]) if t == 0 else frozenset()
+    out = set()
+    for s in range(min(t, e[0]) + 1):
+        if comb(e[0], s) % 2:
+            out ^= {(e[0] + s,) + rest for rest in _sq_monomial(t - s, e[1:])}
+    return frozenset(out)
+
+
+def _sq_poly(t: int, poly: set) -> set:
+    out = set()
+    for e in poly:
+        out ^= _sq_monomial(t, e)
+    return out
+
+
+def test_adem_expansions_hold_on_a_product_of_real_projective_spaces():
+    # admissible monomials of degree <= 8 act faithfully on x_1...x_8 in
+    # H*((RP^inf)^8; F_2), so evaluating both sides there checks every
+    # coefficient of adem_expand without reading any other hilb2 code
+    u = {(1,) * 8}
+    pairs = [(a, b) for b in range(1, 8) for a in range(1, min(2 * b, 9 - b))]
+    assert len(pairs) == 19
+    for a, b in pairs:
+        terms = adem_expand(a, b)
+        assert all(d == 0 or c >= 2 * d for c, d in terms), (a, b, terms)
+        right = set()
+        for c, d in terms:
+            right ^= _sq_poly(c, _sq_poly(d, u))
+        assert _sq_poly(a, _sq_poly(b, u)) == right, (a, b, terms)
 
 
 def test_adem_expand_returns_a_list_of_its_own():
