@@ -5,12 +5,13 @@ free rank or Z/2 count.
 
 Every table here but the exact-sequence route depends only on the Betti
 row b_k of X, following Macdonald's count for symmetric products. Each is a
-sum of the two counters in spaces, so its cost follows the 2n + 1 degrees
-of X rather than the basis size:
+sum of the two degree counts in spaces, so its cost follows the 2n + 1
+degrees of X rather than the basis size:
 
   pair_counts     unordered pairs of distinct classes, the coefficients of
                   (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k
-  ladder_counts   b_v classes in each degree of a ladder chosen per degree v
+  ladder_counts   b_v classes in each degree of a ladder chosen per degree v,
+                  added to a copy of a base count such as pair_counts
 
 The closed form (valid when Sq^1 = 0) counts the pairs, the diagonal pair
 of each even class, and the ladder v + 2p for 1 <= p <= n-1. The exact
@@ -72,7 +73,7 @@ def betti_config(d: ManifoldDescriptor) -> BettiTable:
     """The complement of the diagonal in the symmetric square: unordered
     pairs of distinct basis classes, plus one class in degree 2 v_i + j for
     each i and 0 <= j <= 2n - 1 - v_i."""
-    dims = pair_counts(d) + ladder_counts(d, lambda v: range(2 * v, v + 2 * d.n))
+    dims = ladder_counts(d, lambda v: range(2 * v, v + 2 * d.n), pair_counts(d))
     return BettiTable("config", 4 * d.n - 1, dims, noncompact=not d.compact)
 
 
@@ -80,8 +81,8 @@ def betti_sym2_f2(d: ManifoldDescriptor) -> BettiTable:
     """Mod-2 homology of the symmetric square: unordered pairs of distinct
     classes, one class in every degree v_i + 2 .. 2 v_i for v_i > 0, and the
     diagonal point class for v_i = 0."""
-    dims = pair_counts(d) + ladder_counts(
-        d, lambda v: range(v + 2, 2 * v + 1) if v else (0,))
+    dims = ladder_counts(d, lambda v: range(v + 2, 2 * v + 1) if v else (0,),
+                         pair_counts(d))
     return BettiTable("sym2", 4 * d.n, dims, noncompact=not d.compact)
 
 
@@ -103,9 +104,10 @@ def integral_sym2(d: ManifoldDescriptor) -> GroupProfile:
     if not d.integral.torsion_free:
         raise TorsionFlagRequired(
             f"{d.name}: integral_sym2 needs integral.torsion_free = true")
-    free = pair_counts(d) + ladder_counts(d, _even_diagonal)
+    free = ladder_counts(d, _even_diagonal, pair_counts(d))
     tors = ladder_counts(d, lambda v: range(v + 2, 2 * v, 2))
-    groups = {k: (free[k], tors[k]) for k in free.keys() | tors.keys()}
+    groups = {k: (free.get(k, 0), tors.get(k, 0))
+              for k in free.keys() | tors.keys()}
     return GroupProfile("sym2", 4 * d.n, groups)
 
 
@@ -138,7 +140,7 @@ def betti_hilb2_closed(d: ManifoldDescriptor) -> BettiTable:
     """
     if not steenrod.is_sq1_zero(d.module):
         raise Sq1NotZero(f"{d.name}: closed form requires Sq^1 = 0")
-    dims = (pair_counts(d) + ladder_counts(d, _even_diagonal)
-            + ladder_counts(d, lambda v: range(v + 2, v + 2 * d.n, 2)))
+    dims = ladder_counts(d, lambda v: range(v + 2, v + 2 * d.n, 2),
+                         ladder_counts(d, _even_diagonal, pair_counts(d)))
     return BettiTable("hilb2", 4 * d.n, dims, noncompact=not d.compact)
 

@@ -255,6 +255,11 @@ def main(argv=None) -> int:
         # OSError: an input that cannot be read, an -o that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # a small valid input, such as a huge n with few classes, can outgrow memory
+        print("error: out of memory: this input needs more memory than is "
+              "available", file=sys.stderr)
+        return 1
     except spaces.InvalidDescriptor as exc:  # raised only once args is bound
         _print_report(exc.report, vars(args).get("json", False))
         return 2

@@ -10,8 +10,9 @@ pivots, brings rows to echelon form on the leading set bit: rows that
 already have distinct leading bits, such as the triangular kernel ladders,
 become pivots without a single XOR. Its pivots count the rank, and their
 leading bits are exactly the leading bits of the nonzero elements of the
-span. pivots_by_degree, the one routine that groups rows by degree, serves
-kernel and loader alike.
+span. The kernel groups its generators by degree itself and reduces each
+group with pivots; pivots_by_degree groups (degree, mask) rows for the
+loader's rank checks, through span_dims_by_degree.
 """
 
 from collections import defaultdict

@@ -22,10 +22,11 @@ class with no stored square skips the ladder computation: its one nonzero
 ladder is e^t u. A ladder that collapses to zero contributes no generator,
 so every listed generator is nonzero.
 
-gf2.pivots_by_degree brings the generators of each degree to echelon form
-once per descriptor, and _build_pools keeps their count, rank and lowest
-pivot. That one table gives kernel_dimensions its ranks, redundant_degrees
-its counts and corollary_check its lowest pivots.
+_build_pools groups the generators by degree in one pass, brings each
+degree's masks to echelon form with gf2.pivots once per descriptor, and
+keeps their count, rank and lowest pivot. That one table gives
+kernel_dimensions its ranks, redundant_degrees its counts and
+corollary_check its lowest pivots.
 
 corollary_check is exact and draws nothing at random: an even degree fails
 iff its lowest pivot breaks the constraint, one FAIL each, its combination
@@ -34,7 +35,7 @@ states how many even degrees were decided. A loaded Sq^1 = 0 descriptor has
 only families 1-2 and never fails.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from . import exdiv, gf2, steenrod
 from .report import FAIL, PASS, Report
@@ -91,10 +92,11 @@ def _pools(d: ManifoldDescriptor) -> dict[int, _Pool]:
 
 def _build_pools(gens: list[KernelGenerator]) -> dict[int, _Pool]:
     # every listed generator is nonzero, so each one is a row of its degree
-    degrees = [g.degree for g in gens]
-    counts = Counter(degrees)
-    echelon = gf2.pivots_by_degree(zip(degrees, [g.mask for g in gens]))
-    return {degree: _Pool(counts[degree], len(leads), leads[min(leads)])
+    by_degree: dict[int, list[int]] = {}
+    for g in gens:
+        by_degree.setdefault(g.degree, []).append(g.mask)
+    echelon = {degree: gf2.pivots(by_degree[degree]) for degree in sorted(by_degree)}
+    return {degree: _Pool(len(by_degree[degree]), len(leads), leads[min(leads)])
             for degree, leads in echelon.items()}
 
 

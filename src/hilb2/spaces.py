@@ -40,7 +40,7 @@ degree outside [0, top] or a negative dimension, on _replace as well.
 """
 
 import json
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import cached_property
 from itertools import repeat
@@ -151,7 +151,9 @@ def _unique_keys(pairs: list) -> dict:
     """A JSON object; json.loads alone keeps the last value of a repeated key."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        seen = set()
+        twice = {k for k, _ in pairs if k in seen or seen.add(k)}
+        key = next(k for k in obj if k in twice)
         raise DescriptorError(f"repeated key {key!r}")
     return obj
 
@@ -290,9 +292,9 @@ def descriptor_violations(d: ManifoldDescriptor) -> Report:
 def _violations(d: ManifoldDescriptor) -> Report:
     rep = steenrod.validate(d.module)
     m, counts, top = d.module, _degree_counts(d), 2 * d.n
-    if counts[0] != 1:
+    if counts.get(0, 0) != 1:
         rep.add("connectedness", FAIL,
-                f"expected exactly one degree-0 class, found {counts[0]}")
+                f"expected exactly one degree-0 class, found {counts.get(0, 0)}")
     for name, deg in m.basis:
         if deg > top:
             rep.add("degree-range", FAIL,
@@ -303,7 +305,7 @@ def _violations(d: ManifoldDescriptor) -> Report:
                     "connected noncompact manifold of real dimension "
                     f"{deg} vanishes")
     if d.compact:
-        if counts[top] != 1:
+        if counts.get(top) != 1:
             rep.add("compactness-symmetry", FAIL,
                     f"compact descriptor needs exactly one class in degree {top}")
         # the row of X has no place for a class above 2n
@@ -323,7 +325,7 @@ def _violations(d: ManifoldDescriptor) -> Report:
         if table is not None:
             _check_sq1_self_adjoint(d, rep)
             # the pairing is read against the one unit and the one top class
-            if (m.cup is not None and counts[0] == counts[top] == 1
+            if (m.cup is not None and counts.get(0) == counts.get(top) == 1
                     and table.is_palindromic()):
                 t = next(i for i, (_, deg) in enumerate(m.basis) if deg == top)
                 _check_cup_pairing(d, table, m._unit_bit.bit_length() - 1, t, rep)
@@ -418,34 +420,41 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def _degree_counts(d: ManifoldDescriptor) -> Counter:
+def _degree_counts(d: ManifoldDescriptor) -> dict[int, int]:
     """The Betti row of X as degree -> b_k, counted once per descriptor."""
-    return once(d, "degree_counts",
-                lambda: Counter(deg for _, deg in d.module.basis))
+    def count():
+        out = {}
+        get = out.get
+        for _, deg in d.module.basis:
+            out[deg] = get(deg, 0) + 1
+        return out
+    return once(d, "degree_counts", count)
 
 
-def pair_counts(d: ManifoldDescriptor) -> Counter:
+def pair_counts(d: ManifoldDescriptor) -> dict[int, int]:
     """Unordered pairs of distinct basis classes of X by total degree, the
     coefficients of (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k; counted
-    once per descriptor, and the returned Counter is shared."""
+    once per descriptor, and the returned dict is shared."""
     return once(d, "pair_counts", lambda: _pair_counts(_degree_counts(d)))
 
 
-def _pair_counts(b: Counter) -> Counter:
-    twice = Counter()
-    for x in b:
-        for y in b:
-            twice[x + y] += b[x] * b[y]
-        twice[2 * x] -= b[x]
-    return Counter({k: v // 2 for k, v in twice.items() if v})
+def _pair_counts(b: dict[int, int]) -> dict[int, int]:
+    twice = {}
+    get = twice.get
+    for x, b_x in b.items():
+        for y, b_y in b.items():
+            twice[x + y] = get(x + y, 0) + b_x * b_y
+        twice[2 * x] -= b_x
+    return {k: v // 2 for k, v in twice.items() if v}
 
 
 def ladder_counts(d: ManifoldDescriptor,
-                  ladder: Callable[[int], Iterable[int]]) -> Counter:
-    """b_v classes in every degree of ladder(v), summed over the degrees v
-    of the basis of X."""
-    out = Counter()
-    get = out.get  # out[k] += b_v would call Counter.__missing__ per new k
+                  ladder: Callable[[int], Iterable[int]],
+                  base: dict[int, int] | None = None) -> dict[int, int]:
+    """base, if given, plus b_v classes in every degree of ladder(v), summed
+    over the degrees v of the basis of X; base is copied, never changed."""
+    out = dict(base or {})
+    get = out.get
     for v, b_v in _degree_counts(d).items():
         for k in ladder(v):
             out[k] = get(k, 0) + b_v

@@ -2,7 +2,9 @@
 Hilbert square, plus the integral profile of the symmetric square."""
 
 import json
+import os
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_descriptor, sphere
+import hilb2
 from hilb2 import (
     TorsionFlagRequired,
     betti_config,
@@ -29,6 +32,10 @@ from hilb2.betti import GroupProfile
 from hilb2.catalog import _projective
 from hilb2.spaces import BettiTable
 from hilb2.steenrod import Sq1NotZero
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import workloads  # noqa: E402  (the benchmark ladders, built by bench/inputs.py)
 
 HILB2_ROWS = {
     "p1": (1, 0, 1, 0, 1),
@@ -258,6 +265,18 @@ def test_degree_only_tables_match_the_class_by_class_reference():
         seen_odd += any(k % 2 for k in degrees)
         seen_repeat += len(set(degrees)) < len(degrees)
     assert seen_odd and seen_repeat
+
+
+BENCH_RUNGS = [desc for workload in ("deep", "wide")
+               for desc in workloads.build(workload, hilb2, 0, None)[0]]
+
+
+@pytest.mark.parametrize("desc", BENCH_RUNGS, ids=[d["name"] for d in BENCH_RUNGS])
+def test_degree_only_tables_match_the_reference_on_the_bench_rungs(desc):
+    # every rung is torsion-free; with the flags set, integral_sym2 applies
+    flags = {"two_torsion_free": True, "torsion_free": True}
+    d = load_descriptor(json.dumps({**desc, "integral": flags}))
+    assert counted_tables(d) == reference_tables(d)
 
 
 @settings(max_examples=150, deadline=None)

@@ -266,6 +266,15 @@ def test_betti_negative_rank_exits_two(capsys, monkeypatch):
                "exceed the ambient table\n")
 
 
+def test_out_of_memory_exits_one_with_one_line(capsys, monkeypatch):
+    def exhausted(d, seed=0):
+        raise MemoryError
+    monkeypatch.setattr(hilb2.verify, "run_suite", exhausted)
+    assert run(["check", "p2"], capsys) == (
+        1, "", "error: out of memory: this input needs more memory than is "
+               "available\n")
+
+
 def test_betti_closed_needs_vanishing_bockstein(capsys):
     code, _, err = run(
         ["betti", "enriques_x", "--space", "hilb2", "--method", "closed"],

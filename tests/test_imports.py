@@ -1,4 +1,6 @@
-"""Every name a hilb2 module imports is used in that module, every private
+"""Every name a hilb2 module imports is used in that module, no module
+counts with collections.Counter (its constructor and + run as Python code,
+and plain dicts made every check measurably faster), every private
 function of the package has a caller, the package exports exactly the
 names of its export table, importing it loads none of its modules until
 one is used, a command loads only the modules it uses, and loading them
@@ -50,6 +52,31 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_import(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], module
+
+
+def counter_uses(source):
+    """The lines that import collections.Counter or name it as an attribute
+    of collections."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "collections":
+            lines += [node.lineno for alias in node.names if alias.name == "Counter"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "Counter"
+              and isinstance(node.value, ast.Name) and node.value.id == "collections"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_counter():
+    assert counter_uses("from collections import Counter as C, deque\n"
+                        "import collections\nc = collections.Counter()\n"
+                        "q = collections.deque()\n") == [1, 3]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_counts_with_counter(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert counter_uses(fh.read()) == [], module
 
 
 def uncalled_private_functions(sources):

@@ -71,6 +71,12 @@ def test_repeated_key_rejected(key):
         parse_descriptor(REPEATED_KEYS[key])
 
 
+def test_the_message_names_the_first_key_that_repeats():
+    # b is the first to come back, but a appeared first
+    with pytest.raises(DescriptorError, match="repeated key 'a'$"):
+        parse_descriptor('{"a": 1, "b": 2, "b": 3, "a": 4}')
+
+
 def test_missing_required_key_rejected():
     obj = descriptor_obj(n=1, degrees=[0, 2])
     del obj["classes"]
@@ -210,11 +216,20 @@ def test_parser_messages_are_exact(change, message):
     assert str(exc.value) == message
 
 
+def failures(**kw):
+    """(check, details) of each FAIL that rejects the descriptor on load."""
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_descriptor(**kw)
+    return [(e.check, e.details) for e in exc.value.report.failures]
+
+
 def test_connectedness_enforced():
     with pytest.raises(InvalidDescriptor):
         make_descriptor(n=1, degrees=[0, 0, 2])
-    with pytest.raises(InvalidDescriptor):
-        make_descriptor(n=1, degrees=[1, 2])
+    assert failures(n=1, degrees=[1, 2]) == [
+        ("connectedness", "expected exactly one degree-0 class, found 0"),
+        ("compactness-symmetry",
+         "mod-2 Betti numbers (0, 1, 1) are not palindromic")]
 
 
 def test_degree_range_enforced():
@@ -237,8 +252,15 @@ def test_compactness_needs_palindromic_row_and_unique_top():
         make_descriptor(n=2, degrees=[0, 1, 4])  # row 1,1,0,0,1
     with pytest.raises(InvalidDescriptor):
         make_descriptor(n=1, degrees=[0, 2, 2])  # two top classes
-    with pytest.raises(InvalidDescriptor):
-        make_descriptor(n=2, degrees=[0, 2])  # no class in top degree 4
+    assert failures(n=2, degrees=[0, 2]) == [  # no class in top degree 4
+        ("compactness-symmetry",
+         "compact descriptor needs exactly one class in degree 4"),
+        ("compactness-symmetry",
+         "mod-2 Betti numbers (1, 0, 1, 0, 0) are not palindromic")]
+    assert failures(n=2, degrees=[2]) == [  # neither a unit nor a top class
+        ("connectedness", "expected exactly one degree-0 class, found 0"),
+        ("compactness-symmetry",
+         "compact descriptor needs exactly one class in degree 4")]
     # the same rows load fine as noncompact data
     d = make_descriptor(n=2, degrees=[0, 2], compact=False)
     assert not d.compact

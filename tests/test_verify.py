@@ -206,8 +206,8 @@ def test_suite_on_a_loaded_descriptor_runs_each_stage_once(stage_calls):
 
 def test_check_reduces_each_kernel_degree_once(monkeypatch, capsys):
     # the rank, the redundancy note and the corollary share one echelon form
-    # per kernel degree, which gf2.pivots_by_degree builds: k3 has kernel
-    # degrees 0, 2 and 4
+    # per kernel degree, which kernel._build_pools builds with gf2.pivots:
+    # k3 has kernel degrees 0, 2 and 4
     callers = Counter()
     pivots = gf2.pivots
 
@@ -217,4 +217,4 @@ def test_check_reduces_each_kernel_degree_once(monkeypatch, capsys):
 
     monkeypatch.setattr(gf2, "pivots", counted)
     assert cli.main(["check", "k3"]) == 0
-    assert callers == {"hilb2.gf2": 3}
+    assert callers == {"hilb2.kernel": 3}
