@@ -24,7 +24,7 @@ built-in entry; another descriptor is passed by its file path.
 import json
 from math import comb
 
-from .spaces import ManifoldDescriptor, load_descriptor
+from .spaces import IntegralFlags, ManifoldDescriptor, load_descriptor
 
 
 class UnknownCatalogName(KeyError):
@@ -49,8 +49,7 @@ def _projective(name: str, n: int) -> dict:
         entry["sq"] = sq
     if cup:
         entry["cup"] = cup
-    entry["integral"] = {"two_torsion_free": True, "torsion_free": True,
-                         "even_degrees_only": True}
+    entry["integral"] = IntegralFlags(True, True, True)._asdict()
     return entry
 
 
@@ -62,8 +61,7 @@ def _k3() -> dict:
         "classes": ([{"name": "1", "degree": 0}]
                     + [{"name": f"a{i}", "degree": 2} for i in range(1, 23)]
                     + [{"name": "top", "degree": 4}]),
-        "integral": {"two_torsion_free": True, "torsion_free": True,
-                     "even_degrees_only": True},
+        "integral": IntegralFlags(True, True, True)._asdict(),
     }
 
 
@@ -79,8 +77,7 @@ def _surface_with_torsion(name: str, names2: list[str],
     }
     if sq1:
         entry["sq"] = sq1
-    entry["integral"] = {"two_torsion_free": False, "torsion_free": False,
-                         "even_degrees_only": False}
+    entry["integral"] = IntegralFlags()._asdict()
     return entry
 
 

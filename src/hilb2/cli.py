@@ -261,7 +261,8 @@ def main(argv=None) -> int:
               "available", file=sys.stderr)
         return 1
     except spaces.InvalidDescriptor as exc:  # raised only once args is bound
-        _print_report(exc.report, vars(args).get("json", False))
+        _print_report(exc.report, vars(args).get("json", False)
+                      or vars(args).get("format") == "json")
         return 2
     # evaluated only once an exception gets here, so betti loads only then
     except (Sq1NotZero, hilb2.betti.TorsionFlagRequired,

@@ -10,12 +10,10 @@ pivots, brings rows to echelon form on the leading set bit: rows that
 already have distinct leading bits, such as the triangular kernel ladders,
 become pivots without a single XOR. Its pivots count the rank, and their
 leading bits are exactly the leading bits of the nonzero elements of the
-span. The kernel groups its generators by degree itself and reduces each
-group with pivots; pivots_by_degree groups (degree, mask) rows for the
-loader's rank checks, through span_dims_by_degree.
+span. Its grouped rank, span_dims_by_degree, serves the loader's rank
+checks; the kernel groups its generators by degree and reduces each alone.
 """
 
-from collections import defaultdict
 from collections.abc import Iterable
 
 
@@ -45,24 +43,15 @@ def pivots(rows: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def pivots_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, dict]:
-    """Echelon form (see pivots) of the nonzero (degree, mask) rows of each
-    degree, degrees ascending; a degree with no nonzero row is omitted.
+def span_dims_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """degree -> rank (see pivots) of the (degree, mask) rows of that degree,
+    degrees ascending; a degree with no nonzero row is omitted.
 
-    >>> pivots_by_degree([(4, 0b10), (2, 0b11), (2, 0b01), (6, 0)])
-    {2: {2: 3, 1: 1}, 4: {2: 2}}
+    >>> span_dims_by_degree([(4, 0b10), (2, 0b11), (2, 1), (2, 0b10), (6, 0)])
+    {2: 2, 4: 1}
     """
-    by_degree = defaultdict(list)
+    by_degree: dict[int, list[int]] = {}
     for degree, mask in rows:
         if mask:
-            by_degree[degree].append(mask)
-    return {d: pivots(by_degree[d]) for d in sorted(by_degree)}
-
-
-def span_dims_by_degree(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """The ranks of pivots_by_degree: degree -> dimension of the span.
-
-    >>> span_dims_by_degree([(2, 0b01), (2, 0b01), (2, 0b10), (4, 0)])
-    {2: 2}
-    """
-    return {d: len(p) for d, p in pivots_by_degree(rows).items()}
+            by_degree.setdefault(degree, []).append(mask)
+    return {d: len(pivots(by_degree[d])) for d in sorted(by_degree)}

@@ -21,7 +21,9 @@ class, is read by its bit too. Names appear only at the edges:
 basis_vector(name) reads one, names(mask) and unit() print them, and an
 unknown name, a negative mask or a bit outside the basis raises
 UnknownClass (_check_mask). sq, ladder and coefficient also raise it for
-a class outside the degree of the (degree, mask) pair (_check_vector).
+a class outside the degree of the (degree, mask) pair (_check_vector). Its
+table holds each degree's classes from its first class to its last: N bits
+in all when each degree's classes are declared together.
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
@@ -81,8 +83,8 @@ class UnstableModule(namedtuple("UnstableModule", "basis sq cup top_degree")):
                      if deg == 0), 0)
 
     @cached_property
-    def _degree_masks(self) -> dict[int, int]:
-        """degree -> the mask of the basis classes of that degree."""
+    def _degree_masks(self) -> dict[int, tuple[int, int]]:
+        """degree -> (low, span): bit i of span is class low + i."""
         members: dict[int, list[int]] = {}
         for i, (_, deg) in enumerate(self.basis):
             members.setdefault(deg, []).append(i)
@@ -92,7 +94,7 @@ class UnstableModule(namedtuple("UnstableModule", "basis sq cup top_degree")):
             row = bytearray(((idx[-1] - low) >> 3) + 1)
             for i in idx:
                 row[(i - low) >> 3] |= 1 << ((i - low) & 7)
-            masks[deg] = int.from_bytes(row, "little") << low
+            masks[deg] = low, int.from_bytes(row, "little")
         return masks
 
     def names(self, mask: int) -> tuple:
@@ -163,7 +165,8 @@ def _check_vector(m: UnstableModule, v: tuple[int, int]) -> None:
     the pair's degree."""
     degree, mask = v
     _check_mask(mask, len(m.basis))
-    stray = mask & ~m._degree_masks.get(degree, 0)
+    low, span = m._degree_masks.get(degree, (0, 0))
+    stray = mask ^ ((mask >> low) & span) << low
     if stray:
         name, deg = m.basis[(stray & -stray).bit_length() - 1]
         raise UnknownClass(f"class {name!r} has degree {deg}, not {degree}")

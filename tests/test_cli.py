@@ -388,6 +388,21 @@ def test_check_fails_on_invalid_descriptor(tmp_path, capsys):
     assert out == run(["validate", path, "--json"], capsys)[1]
 
 
+def test_betti_prints_a_failing_report_in_the_format_it_was_asked_for(
+        tmp_path, capsys):
+    path = write_descriptor(tmp_path, descriptor_obj(n=1, degrees=[0, 0, 2]))
+    expected = run(["validate", path, "--json"], capsys)[1]
+    code, out, _ = run(["betti", path, "--space", "sym2", "--format", "json"],
+                       capsys)
+    assert ("connectedness", "fail") in [(e["check"], e["status"])
+                                         for e in json.loads(out)]
+    assert (code, out) == (2, expected)
+    text = run(["check", path], capsys)[1]
+    for fmt in ("table", "csv"):
+        assert run(["betti", path, "--space", "sym2", "--format", fmt],
+                   capsys)[:2] == (2, text)
+
+
 def test_check_rejects_sq1_into_the_top_degree(tmp_path, capsys):
     # w_1 = v_1 = 0 on a closed complex manifold, so Sq^1: H^3 -> H^4 of
     # a complex surface vanishes

@@ -1,6 +1,7 @@
 """Every name a hilb2 module imports is used in that module, no module
 counts with collections.Counter (its constructor and + run as Python code,
-and plain dicts made every check measurably faster), every private
+and plain dicts made every check measurably faster), no module spells an
+integral flag key outside the IntegralFlags declaration, every private
 function of the package has a caller, the package exports exactly the
 names of its export table, importing it loads none of its modules until
 one is used, a command loads only the modules it uses, and loading them
@@ -77,6 +78,31 @@ def test_the_check_sees_a_counter():
 def test_no_module_counts_with_counter(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert counter_uses(fh.read()) == [], module
+
+
+def flag_key_literals(source):
+    """The lines of the string literals that are exactly an IntegralFlags
+    field name, such as a dict key or a subscript. The declaration's one
+    string of every name, docstrings and messages that mention a flag are
+    not field names, so they pass."""
+    fields = set(hilb2.IntegralFlags._fields)
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in fields)
+
+
+def test_the_check_sees_a_flag_key_literal():
+    assert flag_key_literals(
+        'F = namedtuple("F", "two_torsion_free torsion_free")\n'
+        'def f(d):\n    """d["torsion_free"] is read by field."""\n'
+        '    return {"torsion_free": d.torsion_free}, "needs torsion_free"\n'
+        'g = d["even_degrees_only"]\n') == [4, 5]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_integral_flags_spells_the_flag_keys(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert flag_key_literals(fh.read()) == [], module
 
 
 def uncalled_private_functions(sources):

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 from functools import cache
 from math import comb
 
@@ -74,6 +75,36 @@ def test_sq_unknown_name_raises():
             sq(m, k, (2, 1 << 40))
     with pytest.raises(UnknownClass):
         m.basis_vector("ghost")
+
+
+def test_the_degree_table_grows_with_the_basis_not_its_square():
+    # one class in each degree 0..2n: stored as masks of the whole basis,
+    # degree k's entry would be k + 1 bits wide, N^2 / 16 bytes in all
+    # (25 MB at N = 20 001); shifted down to each degree's first class,
+    # every entry is one bit, and the peak is the table's dict and the lists
+    # that build it, a few hundred bytes a class
+    n = 10_000
+    m = UnstableModule(tuple((f"c{k}", k) for k in range(2 * n + 1)), {},
+                       None, 2 * n)
+    tracemalloc.start()
+    try:
+        assert sq(m, 1, m.basis_vector("c1")) == (2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * len(m.basis), peak
+
+
+def test_the_degree_check_finds_a_class_around_or_inside_a_degree_span():
+    # degree 2 holds classes 1 and 3: class 0 lies below its first class,
+    # class 2 inside its span and class 5 above it
+    m = UnstableModule((("1", 0), ("a", 2), ("t", 1), ("b", 2), ("u", 1),
+                        ("top", 3)), {}, None, 3)
+    assert sq(m, 0, (2, 0b1010)) == (2, 0b1010)
+    for mask, name in ((0b1011, "'1' has degree 0"), (0b1110, "'t' has degree 1"),
+                       (0b101010, "'top' has degree 3")):
+        with pytest.raises(UnknownClass, match=f"class {name}, not 2"):
+            sq(m, 1, (2, mask))
 
 
 def test_cup_product_of_a_bit_outside_the_basis_raises():
