@@ -25,11 +25,12 @@ vanishes) give the zero class (m, 0) of their degree.
 
 The bit layout is this module's alone: other modules read a class on E
 through coefficient, its one checked reader, and leading_power.
-shifted_ladders lists the kernel generators e^j L_s(u) for
-0 <= j <= n - 1 - s - t, one list of shifts per ladder. Each ladder is
-computed once, at j = 0, and its e^j shifts are the same bits moved up j
-blocks of N. A class with no stored square needs no ladder computation at
-all: its only nonzero ladder is e^t u.
+While no e-power reaches n, multiplying by e^j follows the shift rule
+e^j (m, mask) = (m + 2j, mask << j*N): the bits move up j blocks of N.
+shifted_ladders yields each nonzero ladder once, at j = 0, with the
+number of its shifts e^j L_s(u), 0 <= j <= n - 1 - s - t, that are kernel
+generators, which the kernel expands by that rule. A class with no stored
+square needs no ladder computation: its only nonzero ladder is e^t u.
 """
 
 from collections.abc import Iterator
@@ -89,10 +90,10 @@ def _ladder(d: ManifoldDescriptor, u: tuple, s: int) -> tuple:
 
 
 def shifted_ladders(d: ManifoldDescriptor
-                    ) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """(i, s, [e^j L_s(x_i) for 0 <= j <= n - 1 - s - t]) for every basis
-    class x_i in order, s inner; a zero ladder is skipped. Each shift is a
-    (degree, mask) pair in this module's bit layout.
+                    ) -> Iterator[tuple[int, int, int, int, int]]:
+    """(i, s, degree, mask, count) for each nonzero ladder L_s(x_i) =
+    (degree, mask), x_i in basis order, s inner; its shifts e^j L_s(x_i),
+    0 <= j < count = n - s - t, are (degree + 2j, mask << j*N).
 
     s = 1 only when the module stores an odd square, since the odd-square
     ladders read odd squares alone and are zero without one. A class with
@@ -108,14 +109,12 @@ def shifted_ladders(d: ManifoldDescriptor
         if i not in m.sq:
             t = deg // 2
             if t < n:
-                yield i, 0, [(2 * t + deg + 2 * j, 1 << i + (t + j) * width)
-                             for j in range(n - t)]
+                yield i, 0, deg + 2 * t, 1 << i + t * width, n - t
             continue
         for s in parities:
             degree, mask = _ladder(d, (deg, 1 << i), s)
             if mask:
-                yield i, s, [(degree + 2 * j, mask << j * width)
-                             for j in range(n - s - (deg - s) // 2)]
+                yield i, s, degree, mask, n - s - (deg - s) // 2
 
 
 def ladder(d: ManifoldDescriptor, u: tuple, s: int) -> tuple:

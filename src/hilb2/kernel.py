@@ -15,12 +15,12 @@ terms e^(j+t) u. Families 3 and 4 are the odd-square ladders (s = 1) and
 vanish identically when Sq^1 = 0; they are computed only when the module
 stores some odd square.
 
-exdiv.shifted_ladders lists the generators as (degree, mask) pairs, one
-list of e^j shifts per ladder, so the family and the class name are worked
-out once per ladder, and each generator is one KernelGenerator tuple. A
-class with no stored square skips the ladder computation: its one nonzero
-ladder is e^t u. A ladder that collapses to zero contributes no generator,
-so every listed generator is nonzero.
+exdiv.shifted_ladders yields each nonzero ladder once, at j = 0, with its
+number of shifts; _build_generators alone expands them, by exdiv's shift
+rule, working out the family and class name once per ladder, and each
+generator is one KernelGenerator tuple. A class with no stored square
+skips the ladder computation: its one nonzero ladder is e^t u. A zero
+ladder contributes no generator, so every listed generator is nonzero.
 
 _build_pools groups the generators by degree in one pass, brings each
 degree's masks to echelon form with gf2.pivots once per descriptor, and
@@ -72,15 +72,16 @@ def kernel_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
 
 
 def _build_generators(d: ManifoldDescriptor) -> list[KernelGenerator]:
-    basis = d.module.basis
+    basis, width = d.module.basis, len(d.module.basis)
     out: list[KernelGenerator] = []
     add = out.append
     new = tuple.__new__  # KernelGenerator(...) without its Python-level __new__
-    for i, s, shifts in exdiv.shifted_ladders(d):
+    for i, s, degree, mask, count in exdiv.shifted_ladders(d):
         name, deg = basis[i]
         family = 1 + deg % 2 + 2 * s
-        for j, (degree, mask) in enumerate(shifts):
-            add(new(KernelGenerator, (family, name, j, degree, mask)))
+        for j in range(count):  # e^j L_s(u), by exdiv's shift rule
+            add(new(KernelGenerator,
+                    (family, name, j, degree + 2 * j, mask << j * width)))
     return out
 
 

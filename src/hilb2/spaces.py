@@ -291,10 +291,11 @@ def descriptor_violations(d: ManifoldDescriptor) -> Report:
 
 def _violations(d: ManifoldDescriptor) -> Report:
     rep = steenrod.validate(d.module)
-    m, counts, top = d.module, _degree_counts(d), 2 * d.n
-    if counts.get(0, 0) != 1:
+    m, top = d.module, 2 * d.n
+    units, tops = m._degrees.get(0, ()), m._degrees.get(top, ())
+    if len(units) != 1:
         rep.add("connectedness", FAIL,
-                f"expected exactly one degree-0 class, found {counts.get(0, 0)}")
+                f"expected exactly one degree-0 class, found {len(units)}")
     for name, deg in m.basis:
         if deg > top:
             rep.add("degree-range", FAIL,
@@ -305,11 +306,11 @@ def _violations(d: ManifoldDescriptor) -> Report:
                     "connected noncompact manifold of real dimension "
                     f"{deg} vanishes")
     if d.compact:
-        if counts.get(top) != 1:
+        if len(tops) != 1:
             rep.add("compactness-symmetry", FAIL,
                     f"compact descriptor needs exactly one class in degree {top}")
         # the row of X has no place for a class above 2n
-        table = betti_of_x(d) if max(counts, default=0) <= top else None
+        table = betti_of_x(d) if max(m._degrees, default=0) <= top else None
         if table is not None and not table.is_palindromic():
             rep.add("compactness-symmetry", FAIL,
                     f"mod-2 Betti numbers {table.as_row()} are not palindromic")
@@ -325,10 +326,9 @@ def _violations(d: ManifoldDescriptor) -> Report:
         if table is not None:
             _check_sq1_self_adjoint(d, rep)
             # the pairing is read against the one unit and the one top class
-            if (m.cup is not None and counts.get(0) == counts.get(top) == 1
+            if (m.cup is not None and len(units) == len(tops) == 1
                     and table.is_palindromic()):
-                t = next(i for i, (_, deg) in enumerate(m.basis) if deg == top)
-                _check_cup_pairing(d, table, m._unit_bit.bit_length() - 1, t, rep)
+                _check_cup_pairing(d, units[0], tops[0], rep)
     flags = d.integral
     if flags.torsion_free and not flags.two_torsion_free:
         rep.add("torsion-flags", FAIL,
@@ -363,8 +363,8 @@ def _check_sq1_self_adjoint(d: ManifoldDescriptor, rep: Report) -> None:
                     f"is {high}; on a closed orientable manifold they agree")
 
 
-def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable, u: int,
-                       t: int, rep: Report) -> None:
+def _check_cup_pairing(d: ManifoldDescriptor, u: int, t: int,
+                       rep: Report) -> None:
     """Poincare duality: each pairing H^k x H^(2n-k) -> H^2n is nondegenerate,
     so the rows of pairings of the classes of degree k have rank b_k. u and
     t index the unit and the top class; only cup entries into t are read."""
@@ -380,12 +380,12 @@ def _check_cup_pairing(d: ManifoldDescriptor, table: BettiTable, u: int,
     # a degree without classes has no rows and b_k = 0
     ranks = gf2.span_dims_by_degree((deg, mask) for i, mask in pairs.items()
                                     if (deg := m.basis[i][1]) <= d.n)
-    for k in sorted(k for k in table.dims if k <= d.n):
-        rank = ranks.get(k, 0)
-        if rank != table.dim(k):
+    for k in sorted(k for k in m._degrees if k <= d.n):
+        rank, b_k = ranks.get(k, 0), len(m._degrees[k])
+        if rank != b_k:
             rep.add("cup-pairing", FAIL,
                     f"the cup pairing H^{k} x H^{top - k} -> H^{top} has rank "
-                    f"{rank}, not b_{k} = {table.dim(k)}; Poincare duality "
+                    f"{rank}, not b_{k} = {b_k}; Poincare duality "
                     "needs it nondegenerate")
 
 
@@ -420,31 +420,20 @@ def descriptor_to_json(d: ManifoldDescriptor) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def _degree_counts(d: ManifoldDescriptor) -> dict[int, int]:
-    """The Betti row of X as degree -> b_k, counted once per descriptor."""
-    def count():
-        out = {}
-        get = out.get
-        for _, deg in d.module.basis:
-            out[deg] = get(deg, 0) + 1
-        return out
-    return once(d, "degree_counts", count)
-
-
 def pair_counts(d: ManifoldDescriptor) -> dict[int, int]:
     """Unordered pairs of distinct basis classes of X by total degree, the
     coefficients of (P(t)^2 - P(t^2)) / 2 for P(t) = sum_k b_k t^k; counted
     once per descriptor, and the returned dict is shared."""
-    return once(d, "pair_counts", lambda: _pair_counts(_degree_counts(d)))
+    return once(d, "pair_counts", lambda: _pair_counts(d.module._degrees))
 
 
-def _pair_counts(b: dict[int, int]) -> dict[int, int]:
+def _pair_counts(degrees: dict[int, list[int]]) -> dict[int, int]:
     twice = {}
     get = twice.get
-    for x, b_x in b.items():
-        for y, b_y in b.items():
-            twice[x + y] = get(x + y, 0) + b_x * b_y
-        twice[2 * x] -= b_x
+    for x, xs in degrees.items():
+        for y, ys in degrees.items():
+            twice[x + y] = get(x + y, 0) + len(xs) * len(ys)
+        twice[2 * x] -= len(xs)
     return {k: v // 2 for k, v in twice.items() if v}
 
 
@@ -455,12 +444,13 @@ def ladder_counts(d: ManifoldDescriptor,
     over the degrees v of the basis of X; base is copied, never changed."""
     out = dict(base or {})
     get = out.get
-    for v, b_v in _degree_counts(d).items():
+    for v, idx in d.module._degrees.items():
         for k in ladder(v):
-            out[k] = get(k, 0) + b_v
+            out[k] = get(k, 0) + len(idx)
     return out
 
 
 def betti_of_x(d: ManifoldDescriptor) -> BettiTable:
-    """Mod-2 Betti numbers of X itself: the memoized degree count, copied."""
-    return BettiTable("x", 2 * d.n, _degree_counts(d), noncompact=not d.compact)
+    """Mod-2 Betti numbers of X itself: the sizes of the basis degrees."""
+    dims = {deg: len(idx) for deg, idx in d.module._degrees.items()}
+    return BettiTable("x", 2 * d.n, dims, noncompact=not d.compact)

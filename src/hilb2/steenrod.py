@@ -16,14 +16,15 @@ Class i of the basis is bit i of an int mask, and a vector is a plain
 degree m. The square and cup tables are keyed by class index, and each
 stored row is the mask of Sq^k of a basis class or of the product of two
 basis classes. Sq^0 and products with the unit are implicit, so a class
-with no stored square or product has no row. The unit, the first degree-0
-class, is read by its bit too. Names appear only at the edges:
-basis_vector(name) reads one, names(mask) and unit() print them, and an
-unknown name, a negative mask or a bit outside the basis raises
-UnknownClass (_check_mask). sq, ladder and coefficient also raise it for
-a class outside the degree of the (degree, mask) pair (_check_vector). Its
-table holds each degree's classes from its first class to its last: N bits
-in all when each degree's classes are declared together.
+with no stored square or product has no row. The unit, the first class
+of degree 0 in _degrees (the basis grouped by degree), is read by its bit.
+Names appear only at the edges: basis_vector(name) reads one, names(mask)
+and unit() print them, and an unknown name, a negative mask or a bit
+outside the basis raises UnknownClass (_check_mask). sq, ladder and
+coefficient also raise it for a class outside the degree of the (degree,
+mask) pair (_check_vector). Its bitmaps hold each degree's classes from its
+first class to its last: N bits in all when each degree's classes are
+declared together.
 
 When no cup table is stored the square rule and Cartan checks are skipped and
 the report says so. A cup table, when present, is read as a complete
@@ -77,19 +78,23 @@ class UnstableModule(namedtuple("UnstableModule", "basis sq cup top_degree")):
         return {name: i for i, (name, _) in enumerate(self.basis)}
 
     @cached_property
+    def _degrees(self) -> dict[int, list[int]]:
+        """degree -> ascending class indices, in order of first appearance."""
+        out: dict[int, list[int]] = {}
+        for i, (_, deg) in enumerate(self.basis):
+            out.setdefault(deg, []).append(i)
+        return out
+
+    @cached_property
     def _unit_bit(self) -> int:
         """The bit of the first degree-0 class, or 0 when there is none."""
-        return next((1 << i for i, (_, deg) in enumerate(self.basis)
-                     if deg == 0), 0)
+        return 1 << self._degrees[0][0] if 0 in self._degrees else 0
 
     @cached_property
     def _degree_masks(self) -> dict[int, tuple[int, int]]:
         """degree -> (low, span): bit i of span is class low + i."""
-        members: dict[int, list[int]] = {}
-        for i, (_, deg) in enumerate(self.basis):
-            members.setdefault(deg, []).append(i)
         masks = {}
-        for deg, idx in members.items():  # a bitmap over each degree's span
+        for deg, idx in self._degrees.items():  # a bitmap over each span
             low = idx[0]
             row = bytearray(((idx[-1] - low) >> 3) + 1)
             for i in idx:

@@ -14,10 +14,13 @@ from hilb2 import (
     coefficient,
     format_exclass,
     hilb_restriction,
+    kernel_generators,
     ladder,
     load_descriptor,
 )
+from hilb2.exdiv import shifted_ladders
 from hilb2.steenrod import UnknownClass, sq
+from test_golden_products import products
 
 
 def leading_power(d, c):
@@ -215,6 +218,28 @@ def test_ladder_powers_stay_below_a():
             for out in (ladder(d, u, 0), ladder(d, u, 1)):
                 lead = leading_power(d, out)
                 assert lead is None or lead <= deg // 2
+
+
+def test_each_ladder_is_yielded_once_and_expands_by_the_shift_rule():
+    descs = [catalog_get(name) for name in catalog_names()]
+    descs += [load_descriptor(json.dumps(x)) for x in products().values()]
+    for d in descs:
+        ladders = list(shifted_ladders(d))
+        assert len({(i, s) for i, s, *_ in ladders}) == len(ladders)
+        gens = kernel_generators(d)
+        assert sum(count for *_, count in ladders) == len(gens)
+        rest = iter(gens)
+        for i, s, degree, mask, count in ladders:
+            name, deg = d.module.basis[i]
+            u = d.module.basis_vector(name)
+            assert mask and (degree, mask) == ladder(d, u, s)
+            assert count == d.n - s - (deg - s) // 2  # j <= n - 1 - s - t
+            # its generators are the shifts e^j L_s(u), j ascending
+            c = (degree, mask)
+            for j in range(count):
+                assert next(rest) == (1 + deg % 2 + 2 * s, name, j, *c)
+                if j + 1 < count:
+                    c = e_multiply(d, c)
 
 
 def test_betti_exceptional_rows():

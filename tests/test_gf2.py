@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import hilb2
 from hilb2.gf2 import pivots, span_dims_by_degree
 
@@ -52,6 +54,14 @@ def test_span_dims_by_degree_skips_zero_and_dedups():
     b = (2, 0b10)
     z = (4, 0)
     assert span_dims_by_degree([a, a, b, z]) == {2: 2}
+
+
+def test_a_negative_row_raises():
+    # a negative int is not a set of bits: its bit_length would not lead
+    with pytest.raises(ValueError, match="row -1 is negative"):
+        span_dims_by_degree([(2, 0b1), (2, -1)])
+    with pytest.raises(ValueError, match="row -3 is negative"):
+        pivots([-3])
 
 
 def test_span_dims_split_by_degree():

@@ -17,12 +17,13 @@ from hilb2 import (
     catalog_names,
     catalog_text,
     descriptor_to_json,
+    descriptor_violations,
     gf2,
     load_descriptor,
     parse_descriptor,
     run_suite,
 )
-from hilb2.steenrod import UnstableModule
+from hilb2.steenrod import UnknownClass, UnstableModule, sq
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "bench"))
@@ -349,6 +350,58 @@ def test_betti_of_x_counts_by_degree():
     d = catalog_get("enriques_x")
     assert betti_of_x(d).as_row() == (1, 1, 12, 1, 1)
     assert betti_of_x(catalog_get("p3")).as_row() == (1, 0, 1, 0, 1, 0, 1)
+
+
+def squares(*classes):
+    """Sq^2 c = c2 and c cup c = c2 for each named class c of degree 2."""
+    return dict(sq=[{"k": 2, "from": c, "to": ["c2"]} for c in classes],
+                cup=[{"a": c, "b": c, "result": ["c2"]} for c in classes])
+
+
+# degrees whose classes interleave in the basis: the unit, the top class
+# and each degree's classes are found by degree, not by position
+INTERLEAVED = {
+    "two units": dict(degrees=[0, 2, 0, 2, 4]),
+    "two units, no top class": dict(degrees=[0, 2, 0, 2]),
+    "unit and top inside": dict(degrees=[2, 0, 4, 2], **squares("c0", "c3")),
+    "degenerate pairing": dict(degrees=[2, 0, 4, 2], **squares("c0")),
+}
+
+
+@pytest.mark.parametrize("kw", INTERLEAVED.values(), ids=list(INTERLEAVED))
+def test_interleaved_degrees_are_counted_class_by_class(kw):
+    d = parse(descriptor_obj(n=2, **kw))
+    degrees, m = kw["degrees"], d.module
+    counts = [0] * 5
+    for deg in degrees:
+        counts[deg] += 1
+    row = tuple(counts)
+    assert betti_of_x(d).as_row() == row
+    expected = []
+    if counts[0] != 1:
+        expected.append(("connectedness", "expected exactly one degree-0 "
+                         f"class, found {counts[0]}"))
+    if counts[4] != 1:
+        expected.append(("compactness-symmetry", "compact descriptor needs "
+                         "exactly one class in degree 4"))
+    if row != row[::-1]:
+        expected.append(("compactness-symmetry",
+                         f"mod-2 Betti numbers {row} are not palindromic"))
+    elif len(kw.get("cup", ())) == 1:  # one of two degree-2 classes pairs
+        expected.append(("cup-pairing", "the cup pairing H^2 x H^2 -> H^4 "
+                         f"has rank 1, not b_2 = {counts[2]}; Poincare "
+                         "duality needs it nondegenerate"))
+    assert [(e.check, e.details)
+            for e in descriptor_violations(d).failures] == expected
+    assert m.unit() == f"c{degrees.index(0)}"
+    for deg in set(degrees):
+        v = deg, sum(1 << i for i, k in enumerate(degrees) if k == deg)
+        assert sq(m, 0, v) == v
+    for i, deg in enumerate(degrees):
+        with pytest.raises(UnknownClass) as exc:
+            sq(m, 1, (deg + 1, 1 << i))
+        assert exc.value.args == (f"class 'c{i}' has degree {deg}, "
+                                  f"not {deg + 1}",)
 
 
 def test_betti_table_accessors():
