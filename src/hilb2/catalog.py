@@ -15,87 +15,61 @@ test suite pins that invariance down. elliptic_y has the same mod-2 Betti
 numbers with every square zero; its integral torsion is Z/4 rather than Z/2,
 so it is not two-torsion-free.
 
-Each descriptor is built as a JSON object and stored as its canonical text,
-encoded once at import; catalog_get parses that text through the ordinary
-loader, and exports reproduce these bytes exactly. A name always means the
-built-in entry; another descriptor is passed by its file path.
+Each entry is written once, at import, as text through the one writer of
+descriptor text in spaces, not built here as a JSON object; catalog_get
+parses that text through the ordinary loader, and exports reproduce these
+bytes exactly. A name always means the built-in entry; another descriptor
+is passed by its file path.
 """
 
-import json
 from math import comb
 
-from .spaces import IntegralFlags, ManifoldDescriptor, load_descriptor
+from .spaces import (IntegralFlags, ManifoldDescriptor, _descriptor_text,
+                     load_descriptor)
 
 
 class UnknownCatalogName(KeyError):
     """Name without a built-in descriptor."""
 
 
-def _projective(name: str, n: int) -> dict:
-    h = ["1"] + [f"h{i}" if i > 1 else "h" for i in range(1, n + 1)]
-    deg = {cls: 2 * i for i, cls in enumerate(h)}
-    cup = [{"a": h[i], "b": h[j], "result": [h[i + j]]}
-           for i in range(1, n + 1) for j in range(i, n + 1) if i + j <= n]
-    entry: dict = {
-        "name": name,
-        "complex_dimension": n,
-        "compact": True,
-        "classes": [{"name": cls, "degree": deg[cls]} for cls in h],
-    }
-    sq = [{"k": 2 * i, "from": h[k], "to": [h[k + i]]}
-          for k in range(1, n + 1) for i in range(1, k + 1)
-          if k + i <= n and comb(k, i) % 2]  # Sq^(2i) h^k = C(k, i) h^(k+i)
-    if sq:
-        entry["sq"] = sq
-    if cup:
-        entry["cup"] = cup
-    entry["integral"] = IntegralFlags(True, True, True)._asdict()
-    return entry
+def _projective(n: int) -> str:
+    """The canonical text of P^n, named pn: h^k in degree 2k, the full cup
+    table h^i h^j = h^(i+j), and Sq^(2i) h^k = C(k, i) h^(k+i). P^1 has no
+    product of positive-degree classes and ships without a table."""
+    h = ["1", "h"] + [f"h{k}" for k in range(2, n + 1)]
+    squares = [(2 * i, h[k], [h[k + i]]) for k in range(1, n + 1)
+               for i in range(1, n - k + 1) if comb(k, i) % 2]
+    products = [(h[i], h[j], [h[i + j]])
+                for i in range(1, n + 1) for j in range(i, n - i + 1)]
+    basis = [(cls, 2 * k) for k, cls in enumerate(h)]
+    return _descriptor_text(f"p{n}", n, True, basis, squares, products or None,
+                            IntegralFlags(True, True, True))
 
 
-def _k3() -> dict:
-    return {
-        "name": "k3",
-        "complex_dimension": 2,
-        "compact": True,
-        "classes": ([{"name": "1", "degree": 0}]
-                    + [{"name": f"a{i}", "degree": 2} for i in range(1, 23)]
-                    + [{"name": "top", "degree": 4}]),
-        "integral": IntegralFlags(True, True, True)._asdict(),
-    }
+def _surface(name: str, by_degree, squares=(), flags=IntegralFlags()) -> str:
+    """The canonical text of a closed surface whose classes of degree k are
+    by_degree[k], with these squares and no cup table."""
+    basis = [(cls, deg) for deg, names in enumerate(by_degree)
+             for cls in names]
+    return _descriptor_text(name, 2, True, basis, squares, None, flags)
 
 
-def _surface_with_torsion(name: str, names2: list[str],
-                          sq1: list[dict] | None) -> dict:
-    entry: dict = {
-        "name": name,
-        "complex_dimension": 2,
-        "compact": True,
-        "classes": ([{"name": "1", "degree": 0}, {"name": "t", "degree": 1}]
-                    + [{"name": c, "degree": 2} for c in names2]
-                    + [{"name": "s", "degree": 3}, {"name": "top", "degree": 4}]),
-    }
-    if sq1:
-        entry["sq"] = sq1
-    entry["integral"] = IntegralFlags()._asdict()
-    return entry
-
-
-# name -> canonical JSON text, encoded once at import
+# name -> canonical JSON text, written once at import
 _CATALOG: dict[str, str] = {
-    entry["name"]: json.dumps(entry, indent=2) + "\n" for entry in (
-        _projective("p1", 1),
-        _projective("p2", 2),
-        _projective("p3", 3),
-        _k3(),
-        _surface_with_torsion(
-            "enriques_x",
-            ["t2"] + [f"x{i}" for i in range(1, 12)],
-            [{"k": 1, "from": "t", "to": ["t2"]},
-             {"k": 1, "from": "x1", "to": ["s"]}]),
-        _surface_with_torsion(
-            "elliptic_y", [f"y{i}" for i in range(1, 13)], None),
-    )}
+    "p1": _projective(1),
+    "p2": _projective(2),
+    "p3": _projective(3),
+    "k3": _surface(
+        "k3", (["1"], [], [f"a{i}" for i in range(1, 23)], [], ["top"]),
+        flags=IntegralFlags(True, True, True)),
+    "enriques_x": _surface(
+        "enriques_x", (["1"], ["t"], ["t2"] + [f"x{i}" for i in range(1, 12)],
+                       ["s"], ["top"]),
+        [(1, "t", ["t2"]), (1, "x1", ["s"])]),
+    "elliptic_y": _surface(
+        "elliptic_y",
+        (["1"], ["t"], [f"y{i}" for i in range(1, 13)], ["s"], ["top"])),
+}
 
 
 def catalog_names() -> tuple:

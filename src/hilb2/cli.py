@@ -53,8 +53,7 @@ def _print_report(rep: Report, as_json: bool) -> None:
     for e in rep.entries:
         details = e.details if isinstance(e.details, str) \
             else json.dumps(e.details, sort_keys=True)
-        print(f"[{e.status}] {e.check}: {details}" if details
-              else f"[{e.status}] {e.check}")
+        print(f"[{e.status}] {e.check}: {details}")
 
 
 def _caveat(d: ManifoldDescriptor, fmt: str) -> None:

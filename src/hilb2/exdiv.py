@@ -24,7 +24,10 @@ ladders (r = 0 with s = 1, or r = 2n with s = 0, where the ambient group
 vanishes) give the zero class (m, 0) of their degree.
 
 The bit layout is this module's alone: other modules read a class on E
-through coefficient, its one checked reader, and leading_power.
+through coefficient, its one checked reader, and leading_power. The one
+exception is kernel._witness, which reads through the unchecked
+_coefficient: corollary_check also takes parse-only tables whose squares
+break grading, and coefficient would reject the blocks of their witnesses.
 While no e-power reaches n, multiplying by e^j follows the shift rule
 e^j (m, mask) = (m + 2j, mask << j*N): the bits move up j blocks of N.
 shifted_ladders yields each nonzero ladder once, at j = 0, with the

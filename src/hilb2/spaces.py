@@ -30,6 +30,12 @@ with i <= j -> mask; see steenrod.UnstableModule. The checks read classes,
 the unit and top classes included, by index; only messages and exports
 name the classes of a mask, in basis order.
 
+_descriptor_text, the one writer of descriptor text (descriptor_to_json and
+the catalog call it), is the name edge on the way out. Its canonical form:
+the keys in the order above, "sq" only with a row and "cup" only with a
+table, squares sorted by (k, index of the source class), products by their
+pair of class indices, and json.dumps(..., indent=2) plus a newline.
+
 load_descriptor returns a fully validated descriptor or raises:
 DescriptorError (with a location) for structural problems, InvalidDescriptor
 (carrying the report) for axiom or invariant violations.
@@ -401,22 +407,35 @@ def load_descriptor(text: str | bytes) -> ManifoldDescriptor:
 def descriptor_to_json(d: ManifoldDescriptor) -> str:
     """Canonical JSON text; loading it reproduces the descriptor exactly."""
     m = d.module
+    squares = [(k, m.basis[i][0], m.names(mask))
+               for i, row in m.sq.items() for k, mask in row.items()]
+    products = None if m.cup is None else [
+        (m.basis[i][0], m.basis[j][0], m.names(mask))
+        for (i, j), mask in m.cup.items()]
+    return _descriptor_text(d.name, d.n, d.compact, m.basis, squares, products,
+                            d.integral)
+
+
+def _descriptor_text(name: str, n: int, compact: bool, basis, squares,
+                     products, integral: IntegralFlags) -> str:
+    """The one writer of canonical descriptor text, in the canonical form
+    of the module docstring. Squares are (k, source, targets) rows and
+    products (a, b, result) rows, or None for no table, by class name."""
+    index = {cls: i for i, (cls, _) in enumerate(basis)}
     out: dict = {
-        "name": d.name,
-        "complex_dimension": d.n,
-        "compact": d.compact,
-        "classes": [{"name": name, "degree": deg} for name, deg in m.basis],
+        "name": name,
+        "complex_dimension": n,
+        "compact": compact,
+        "classes": [{"name": cls, "degree": deg} for cls, deg in basis],
     }
-    sq_rows = [{"k": k, "from": m.basis[i][0], "to": m.names(mask)}
-               for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
-                                        for k, mask in row.items())]
-    if sq_rows:
-        out["sq"] = sq_rows
-    if m.cup is not None:
-        out["cup"] = [{"a": m.basis[i][0], "b": m.basis[j][0],
-                       "result": m.names(mask)}
-                      for (i, j), mask in sorted(m.cup.items())]
-    out["integral"] = d.integral._asdict()
+    if squares:
+        out["sq"] = [{"k": k, "from": src, "to": to} for k, src, to in
+                     sorted(squares, key=lambda row: (row[0], index[row[1]]))]
+    if products is not None:
+        out["cup"] = [{"a": a, "b": b, "result": result} for a, b, result in
+                      sorted(products,
+                             key=lambda row: (index[row[0]], index[row[1]]))]
+    out["integral"] = integral._asdict()
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -25,6 +25,7 @@ from hilb2 import (
     betti_sym2_f2,
     catalog_get,
     catalog_names,
+    descriptor_to_json,
     integral_sym2,
     load_descriptor,
 )
@@ -122,9 +123,11 @@ def test_hilb2_closed_gate_is_sq1_not_the_torsion_flag():
 
 def test_projective_generator_gives_the_grassmannian_bundle_row():
     # Hilb^2(P^n) is a P^2-bundle over Gr(2, n+1), so its Poincare
-    # polynomial is [n+1 choose 2]_(t^2) (1 + t^2 + t^4)
+    # polynomial is [n+1 choose 2]_(t^2) (1 + t^2 + t^4); the generator
+    # writes canonical text for every n
     for n in range(1, 31):
-        d = load_descriptor(json.dumps(_projective(f"p{n}", n)))
+        d = load_descriptor(_projective(n))
+        assert descriptor_to_json(d) == _projective(n), n
         grassmannian = Counter(2 * (i + j - 1)
                                for i, j in combinations(range(n + 1), 2))
         row = tuple(sum(grassmannian[k - s] for s in (0, 2, 4))

@@ -1,11 +1,12 @@
 """Every name a hilb2 module imports is used in that module, no module
 counts with collections.Counter (its constructor and + run as Python code,
 and plain dicts made every check measurably faster), no module spells an
-integral flag key outside the IntegralFlags declaration, every private
-function of the package has a caller, the package exports exactly the
-names of its export table, importing it loads none of its modules until
-one is used, a command loads only the modules it uses, and loading them
-all loads no dataclasses, inspect or typing.
+integral flag key outside the IntegralFlags declaration, no module but
+spaces, which writes and parses descriptor text, spells a key of the
+format, every private function of the package has a caller, the package
+exports exactly the names of its export table, importing it loads none of
+its modules until one is used, a command loads only the modules it uses,
+and loading them all loads no dataclasses, inspect or typing.
 
 The source checks read with the standard-library ast module only.
 """
@@ -103,6 +104,31 @@ def test_the_check_sees_a_flag_key_literal():
 def test_only_integral_flags_spells_the_flag_keys(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert flag_key_literals(fh.read()) == [], module
+
+
+# the keys of the descriptor format that only its writer and parser spell
+FORMAT_KEYS = {"complex_dimension", "compact", "classes", "from", "result"}
+
+
+def format_key_literals(source):
+    """The lines of the string literals that are exactly a key of the
+    descriptor format; a docstring that shows the format is not one."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and node.value in FORMAT_KEYS)
+
+
+def test_the_check_sees_a_format_key_literal():
+    assert format_key_literals(
+        'def f(n):\n    """Writes {"compact": true, "classes": []}."""\n'
+        '    return {"complex_dimension": n, "k": 1, "from": "h"}\n'
+        'g = d["result"]\n') == [3, 3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"spaces.py"}))
+def test_only_spaces_spells_the_format_keys(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert format_key_literals(fh.read()) == [], module
 
 
 def uncalled_private_functions(sources):
