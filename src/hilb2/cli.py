@@ -8,7 +8,6 @@ unknown name, bad flags), 2 mathematical failure or axiom violation,
 import argparse
 import functools
 import json
-import os
 import sys
 
 import hilb2  # reads betti, exdiv, kernel, verify; each loads on first use
@@ -28,18 +27,15 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-def _read_source(arg: str) -> str:
-    """Descriptor text from a file path, else from the catalog by name."""
-    try:
-        if os.path.exists(arg):
-            with open(arg, "r", encoding="utf-8") as fh:
-                return fh.read()
+def _read_source(arg: str) -> str | bytes:
+    """A catalog entry's text by name, else the bytes of the file at arg."""
+    if arg in catalog_names():
         return catalog_text(arg)
-    except UnknownCatalogName:
+    try:
+        with open(arg, "rb") as fh:
+            return fh.read()
+    except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path
         raise _InputError(f"no file or catalog entry named {arg!r}") from None
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"{arg!r} is not UTF-8 text: {exc.reason} at "
-                          f"byte {exc.start}") from None
 
 
 def _load(arg: str) -> ManifoldDescriptor:

@@ -165,14 +165,15 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def parse_descriptor(text: str | bytes) -> ManifoldDescriptor:
-    """Structural parse: schema, references, duplicates. No axiom checks."""
+    """Structural parse of JSON text or its UTF-8 bytes: schema, references,
+    duplicates. No axiom checks."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
-        raise DescriptorError(
-            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise DescriptorError(f"the descriptor is not UTF-8 text: "
+                              f"{exc.reason} at byte {exc.start}") from None
     except ValueError as exc:
         # a JSONDecodeError, a repeated key, or an integer literal past the
         # interpreter's limit on digits converted from a string
@@ -396,7 +397,7 @@ def _check_cup_pairing(d: ManifoldDescriptor, u: int, t: int,
 
 
 def load_descriptor(text: str | bytes) -> ManifoldDescriptor:
-    """Parse and fully validate a descriptor from JSON text."""
+    """Parse and fully validate a descriptor from JSON text or UTF-8 bytes."""
     d = parse_descriptor(text)
     rep = descriptor_violations(d)
     if not rep.ok:

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import REPEATED_KEYS, descriptor_obj
 import hilb2
-from hilb2 import BettiTable, catalog_text
+from hilb2 import (BettiTable, catalog_names, catalog_text, descriptor_to_json,
+                   load_descriptor)
 from hilb2 import cli
 
 
@@ -35,6 +36,12 @@ def test_validate_unknown_name(capsys):
     code, _, err = run(["validate", "no_such_space"], capsys)
     assert code == 1
     assert "no file or catalog entry" in err
+
+
+def test_a_path_with_a_nul_byte_is_an_unknown_name(capsys):
+    # argv from a shell cannot hold a NUL, but cli.main is called in-process
+    assert run(["validate", "a\0b"], capsys) == (
+        1, "", "error: no file or catalog entry named 'a\\x00b'\n")
 
 
 def test_validate_malformed_json(tmp_path, capsys):
@@ -469,7 +476,7 @@ def test_catalog_unknown_name(capsys):
 
 def test_catalog_dir_override(tmp_path, capsys, monkeypatch):
     # no environment variable redirects the catalog: a name means the
-    # built-in entry unless a file of that name is in the working directory
+    # built-in entry, whatever file of a similar name the directory holds
     built_in = catalog_text("p2")
     obj = descriptor_obj(n=1, degrees=[0, 2], name="p2")
     (tmp_path / "p2.json").write_text(json.dumps(obj))
@@ -479,13 +486,23 @@ def test_catalog_dir_override(tmp_path, capsys, monkeypatch):
     assert catalog_text("p2") == built_in
 
 
-def test_file_beats_catalog_name(tmp_path, capsys, monkeypatch):
-    obj = descriptor_obj(n=1, degrees=[0, 2], name="p2")
-    path = write_descriptor(tmp_path, obj, name="p2")
+def test_catalog_name_beats_a_file_of_that_name(tmp_path, capsys, monkeypatch):
+    # a file named like a catalog entry is read only by a path such as ./p2
+    (tmp_path / "p2").write_text(catalog_text("p1"))
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run(["betti", "p2", "--space", "hilb2"], capsys)
-    assert code == 0
-    assert out.strip() == "1 0 1 0 1"
+    assert run(["betti", "p2", "--space", "x"], capsys) == (0, "1 0 1 0 1\n", "")
+    assert run(["betti", "./p2", "--space", "x"], capsys) == (0, "1 0 1\n", "")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_entry_loads_from_bytes_and_crlf_files(name, tmp_path, capsys):
+    text = catalog_text(name)
+    assert load_descriptor(text.encode()) == load_descriptor(text)
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    passed = run(["validate", str(path)], capsys)
+    assert passed[0] == 0 and passed == run(["validate", name], capsys)
+    assert descriptor_to_json(load_descriptor(path.read_bytes())) == text
 
 
 def test_bad_flags_exit_one(capsys):
