@@ -476,7 +476,7 @@ def test_catalog_unknown_name(capsys):
 
 def test_catalog_dir_override(tmp_path, capsys, monkeypatch):
     # no environment variable redirects the catalog: a name means the
-    # built-in entry, whatever file of a similar name the directory holds
+    # built-in entry, whatever any directory holds
     built_in = catalog_text("p2")
     obj = descriptor_obj(n=1, degrees=[0, 2], name="p2")
     (tmp_path / "p2.json").write_text(json.dumps(obj))
