@@ -60,6 +60,21 @@ def test_validate_axiom_violation_exits_two(tmp_path, capsys):
     assert "[fail] instability" in out
 
 
+def test_cartan_on_an_absent_pair_exits_two(tmp_path, capsys):
+    # t cup u and t cup v are not stored, so they are 0, but their Cartan
+    # sums are Sq^1 t cup u = u cup u = top and t cup Sq^1 v = t cup s = top
+    obj = descriptor_obj(
+        n=2, classes=[{"name": c, "degree": d} for c, d in (
+            ("1", 0), ("t", 1), ("u", 2), ("v", 2), ("s", 3), ("top", 4))],
+        sq=[{"k": 1, "from": "t", "to": ["u"]}, {"k": 1, "from": "v", "to": ["s"]},
+            {"k": 2, "from": "u", "to": ["top"]}, {"k": 2, "from": "v", "to": ["top"]}],
+        cup=[{"a": a, "b": b, "result": [r]} for a, b, r in (
+            ("t", "t", "u"), ("t", "s", "top"), ("u", "u", "top"), ("v", "v", "top"))])
+    assert run(["validate", write_descriptor(tmp_path, obj)], capsys) == (2, (
+        "[fail] cartan: Sq^1(t cup u): table gives 0, Cartan sum gives {'top'}\n"
+        "[fail] cartan: Sq^1(t cup v): table gives 0, Cartan sum gives {'top'}\n"), "")
+
+
 def test_noncompact_class_in_degree_2n_exits_two_with_a_report(tmp_path,
                                                                 capsys):
     obj = {"name": "two_top", "complex_dimension": 1, "compact": False,

@@ -1,5 +1,6 @@
 """Steenrod action on a named basis: sq, Adem expansion, and the validator."""
 
+import itertools
 import json
 import os
 import random
@@ -300,8 +301,8 @@ def test_validation_work_does_not_grow_with_the_degree(monkeypatch):
     # classes a, b in degree n with a cup b = top and no stored square:
     # every Sq^i of both sides of the Cartan formula is zero
     calls = []
-    product, squares = UnstableModule._times, steenrod._squares_of
-    monkeypatch.setattr(UnstableModule, "_times",
+    product, squares = UnstableModule._product, steenrod._squares_of
+    monkeypatch.setattr(UnstableModule, "_product",
                         lambda *args: calls.append("cup") or product(*args))
     monkeypatch.setattr(steenrod, "_squares_of",
                         lambda *args: calls.append("sq") or squares(*args))
@@ -342,7 +343,9 @@ def test_validation_work_does_not_grow_with_the_basis(monkeypatch):
 
 
 # Reference: the dense validator, which forms both sides of the Cartan
-# formula for every i <= deg x + deg y and every j <= i, and both sides of
+# formula on every pair x <= y of classes other than the unit, stored in the
+# cup table or not, for every i <= deg x + deg y and every j <= i, with each
+# term multiplied through the stored table only, and both sides of
 # every Adem relation on (degree, mask) pairs, squared class by class from
 # the stored rows and summed by XOR.
 
@@ -391,18 +394,15 @@ def dense_validate(m):
 
     def times(v, w):
         # bilinear over the bits and read from m.cup by the sorted pair,
-        # without cup_product: the unit is the identity, and a product of
-        # classes whose degrees add up to more than the top degree is zero
+        # without cup_product: only stored products count, the unit's too,
+        # and a product of classes whose degrees add up to more than the
+        # top degree is zero
         (dv, mv), (dw, mw) = v, w
         acc = 0
         right = [t for t, b in enumerate(members) if mw & b]
         for s in [s for s, a in enumerate(members) if mv & a]:
             for t in right:
-                if s == unit:
-                    acc ^= members[t]
-                elif t == unit:
-                    acc ^= members[s]
-                elif m.basis[s][1] + m.basis[t][1] <= m.top_degree:
+                if m.basis[s][1] + m.basis[t][1] <= m.top_degree:
                     acc ^= m.cup.get((min(s, t), max(s, t)), 0)
         return dv + dw, acc
 
@@ -419,13 +419,17 @@ def dense_validate(m):
                 rep.add("square-rule", FAIL,
                         f"Sq^{deg} {name} = {_shown(m, left[1])} but "
                         f"{name} cup {name} = {_shown(m, right[1])}")
-        for (ix, iy), product in sorted(m.cup.items()):
+        # every pair x <= y, stored or not: an absent product is zero
+        for ix, iy in itertools.combinations_with_replacement(range(len(members)), 2):
             (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
+            product = m.cup.get((ix, iy), 0)
             for t, bit in enumerate(members):
                 if product & bit and m.basis[t][1] != dx + dy:
                     rep.add("degree-shift", FAIL,
                             f"{x} cup {y} contains {m.basis[t][0]} of degree "
                             f"{m.basis[t][1]}, expected degree {dx + dy}")
+            if unit in (ix, iy):
+                continue
             for i in range(1, dx + dy + 1):
                 left = apply(i, (dx + dy, product))
                 right = (dx + dy + i, 0)
@@ -566,6 +570,69 @@ def test_the_cartan_sum_keeps_the_unit_times_a_square_above_the_top():
     rep = validate(m)
     assert rep.entries == dense_validate(m).entries
     assert "cartan" not in rep.statuses()
+
+
+def test_a_square_on_the_unit_multiplies_through_the_stored_table_only():
+    # Sq^1 x = 1 + z has the wrong degree. A Cartan term multiplies through
+    # the stored products, so 1 cup y and 1 cup 1 are absent, hence zero:
+    # Sq^1 x cup y gives z cup y = t alone, and Sq^1 x cup Sq^1 x gives 0.
+    # Read as the identity, the unit would add y and 1 to those sums
+    m = _named(1, (("1", 0), ("x", 1), ("y", 1), ("z", 1), ("t", 2)),
+               sq=[{"k": 1, "from": "x", "to": ["1", "z"]}],
+               cup=[{"a": "x", "b": "x", "result": ["1", "z"]},
+                    {"a": "y", "b": "z", "result": ["t"]}])
+    rep = validate(m)
+    assert rep.entries == dense_validate(m).entries
+    assert [(e.check, e.details) for e in rep.failures] == [
+        ("degree-shift", "Sq^1 x contains 1 of degree 0, expected degree 2"),
+        ("degree-shift", "Sq^1 x contains z of degree 1, expected degree 2"),
+        ("degree-shift", "x cup x contains 1 of degree 0, expected degree 2"),
+        ("degree-shift", "x cup x contains z of degree 1, expected degree 2"),
+        ("cartan", "Sq^1(x cup y): table gives 0, Cartan sum gives {'t'}")]
+
+
+def gap_shape(pairs):
+    """Noncompact, n = 3: x_i and y_i in degree 1 for i < pairs, z and z2
+    in degree 2, w in degree 4; Sq^1 x_i = x_i x_i = z, Sq^1 y_i = y_i y_i
+    = z2 and z z2 = w. Cartan fails on every absent pair that z z2 reaches:
+    (x_i, y_j), (x_i, z2) and (z, y_j), pairs^2 + 2 pairs in all."""
+    xs, ys = [f"x{i}" for i in range(pairs)], [f"y{i}" for i in range(pairs)]
+    return parse_only(
+        n=3, compact=False,
+        classes=([{"name": "1", "degree": 0}]
+                 + [{"name": c, "degree": 1} for c in xs + ys]
+                 + [{"name": "z", "degree": 2}, {"name": "z2", "degree": 2},
+                    {"name": "w", "degree": 4}]),
+        sq=[{"k": 1, "from": c, "to": [t]} for cs, t in ((xs, "z"), (ys, "z2"))
+            for c in cs],
+        cup=[{"a": c, "b": c, "result": [t]} for cs, t in ((xs, "z"), (ys, "z2"))
+             for c in cs] + [{"a": "z", "b": "z2", "result": ["w"]}]).module
+
+
+def test_the_cartan_pass_reports_every_absent_pair_of_the_gap_shape():
+    m = gap_shape(3)
+    assert validate(m).entries == dense_validate(m).entries
+    failures = validate(gap_shape(40)).failures
+    assert {e.check for e in failures} == {"cartan"}
+    assert len(failures) == 40 ** 2 + 2 * 40
+    assert failures[0].details == ("Sq^2(x0 cup y0): table gives 0, "
+                                   "Cartan sum gives {'w'}")
+
+
+def test_the_cartan_budget_refuses_a_quadratic_pass_in_one_fail():
+    # 4 000 stored squares and 4 001 products would give 4 008 001 terms:
+    # (2 001)^2 from z z2 and one from each square x_i x_i, y_i y_i
+    m = gap_shape(2000)
+    tracemalloc.start()
+    try:
+        rep = validate(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(e.check, e.details) for e in rep.failures] == [(
+        "cartan", "the Cartan sums have 4008001 terms, over the budget of "
+                  "512064 (64 per stored square and product); check not run")]
+    assert peak < 10_000_000, peak
 
 
 def test_a_stored_product_above_the_top_degree_is_zero():
