@@ -34,15 +34,13 @@ its input and treats the unit as the identity; the axiom checks multiply
 through the stored table only.
 
 Validation visits only the stored squares and cup entries, not (2n)^3 or
-the basis; but a stored mask that holds class i is i + 1 bits wide, so the
-cost of one entry grows with the basis size. The square rule and Adem
-checks visit only the classes with a stored row. The Cartan check is one
-pass over the stored products that covers every pair of classes other than
-the unit, stored or not. Its cost is the number of Cartan terms, counted
-first: above CARTAN_BUDGET per stored square and cup entry the check is not
-run and reports one FAIL. The Adem check on a class u tries the relations
-Sq^a Sq^b u by total degree, only where some Sq^x Sq^y u of it is nonzero;
-each expansion of Sq^a Sq^b is computed once per process.
+the basis, though a stored mask that holds class i is i + 1 bits wide. The
+square rule and Adem checks visit only the classes with a stored row; the
+Adem check on u tries Sq^a Sq^b u by total degree, where some Sq^x Sq^y u
+is nonzero. The Cartan check is one pass over the stored products that
+covers every pair of classes but the unit, stored or not. Its cost, the
+number of Cartan terms, is counted first: above CARTAN_BUDGET times the
+terms the stored pairs can have, it reports one FAIL instead of running.
 """
 
 from collections import namedtuple
@@ -52,9 +50,9 @@ from math import comb
 from .report import FAIL, NOTE, Report
 
 
-# safety code, not a knob: Cartan terms per stored entry are 0.5-2.7 on the
-# catalog and bench rungs, and first exceed 64 on P^n at n = 213
-CARTAN_BUDGET = 64
+# safety code, not a knob: Cartan terms per term of the stored pairs, at most
+# 2 when every pair the products reach is stored (as on P^n and products)
+CARTAN_BUDGET = 16
 
 
 class UnknownClass(KeyError):
@@ -263,17 +261,18 @@ def validate(m: UnstableModule) -> Report:
     for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
                              for k, mask in row.items()):
         u, du = m.basis[i]
-        if k <= du:
+        stable = k <= du
+        if stable:
             rows.setdefault(i, []).append((k, mask))
         for j in _bits(mask):
             t, dt = m.basis[j]
-            if k <= du:
+            if stable:
                 reach.setdefault(j, [(j, 0)]).append((i, k))
             if dt != du + k:
                 rep.add("degree-shift", FAIL,
                         f"Sq^{k} {u} contains {t} of degree {dt}, "
                         f"expected degree {du + k}")
-        if k > du:
+        if not stable:
             rep.add("instability", FAIL,
                     f"Sq^{k} {u} is nonzero but k = {k} exceeds deg({u}) = {du}")
 
@@ -294,45 +293,46 @@ def validate(m: UnstableModule) -> Report:
                 rep.add("square-rule", FAIL,
                         f"Sq^{deg} {name} = {_shown(m, left)} but "
                         f"{name} cup {name} = {_shown(m, right)}")
+        for ix, iy in sorted(m.cup):
+            (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
+            for j in _bits(m.cup[ix, iy]):
+                t, dt = m.basis[j]
+                if dt != dx + dy:
+                    rep.add("degree-shift", FAIL,
+                            f"{x} cup {y} contains {t} of degree {dt}, "
+                            f"expected degree {dx + dy}")
         # Cartan: Sq^i(xy) sums the terms Sq^j x cup Sq^k y, j + k = i, and
         # a term sums the stored z cup w with z in Sq^j x and w in Sq^k y. So
         # each stored product is added to every pair x <= y it reaches, z from
         # x and w from y or the other way round (for x = y and z != w the two
-        # cancel); the terms are counted before any is formed.
+        # cancel). A stored pair x, y gets at most 2(1 + |Sq x|)(1 + |Sq y|)
+        # terms, |Sq x| the classes in x's squares; the rest, on absent pairs,
+        # must cancel. So the terms are counted first, against that bound
         products = [(p, reach.get(z) or [(z, 0)], reach.get(w) or [(w, 0)], z == w)
                     for z, w in m.cup if (p := m._product(z, w))]
         terms = sum(len(zs) * len(ws) for _, zs, ws, _ in products)
-        budget = CARTAN_BUDGET * (sum(map(len, m.sq.values())) + len(m.cup))
-        sums: dict[tuple[int, int], dict[int, int]] = {}
-        unit = m._unit_bit.bit_length() - 1
-        if terms > budget:
-            rep.add("cartan", FAIL, f"the Cartan sums have {terms} terms, over the "
-                    f"budget of {budget} ({CARTAN_BUDGET} per stored square and "
-                    f"product); check not run")
+        width = {i: 1 + sum(v.bit_count() for _, v in row) for i, row in rows.items()}
+        own = sum(width.get(x, 1) * width.get(y, 1) for x, y in m.cup)
+        if terms > CARTAN_BUDGET * own:
+            rep.add("cartan", FAIL, f"the Cartan sums have {terms} terms, over "
+                    f"{CARTAN_BUDGET} times the {own} of the stored pairs; check not run")
         else:
+            sums: dict[tuple[int, int], dict[int, int]] = {}
             for p, zs, ws, same in products:
                 for x, j in zs:
                     for y, k in ws:
                         if j + k and (x <= y if same else x != y):
                             row = sums.setdefault((x, y) if x < y else (y, x), {})
                             row[j + k] = row.get(j + k, 0) ^ p
-        for ix, iy in sorted(sums.keys() | m.cup.keys()):
-            (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
-            product = m.cup.get((ix, iy), 0)
-            for j in _bits(product):
-                t, dt = m.basis[j]
-                if dt != dx + dy:
-                    rep.add("degree-shift", FAIL,
-                            f"{x} cup {y} contains {t} of degree {dt}, "
-                            f"expected degree {dx + dy}")
-            if terms > budget or unit in (ix, iy):
-                continue  # a pair with the unit is not checked
-            left = _squares_of(m.sq, product, dx + dy)
-            right = sums.get((ix, iy), {})
-            for i in sorted(left.keys() | right.keys()):
-                if (a := left.get(i, 0)) != (b := right.get(i, 0)):
-                    rep.add("cartan", FAIL, f"Sq^{i}({x} cup {y}): table gives "
-                            f"{_shown(m, a)}, Cartan sum gives {_shown(m, b)}")
+            unit = m._unit_bit.bit_length() - 1  # its pairs are not checked
+            for ix, iy in sorted(p for p in sums.keys() | m.cup.keys() if unit not in p):
+                (x, dx), (y, dy) = m.basis[ix], m.basis[iy]
+                left = _squares_of(m.sq, m.cup.get((ix, iy), 0), dx + dy)
+                right = sums.get((ix, iy), {})
+                for i in sorted(left.keys() | right.keys()):
+                    if (a := left.get(i, 0)) != (b := right.get(i, 0)):
+                        rep.add("cartan", FAIL, f"Sq^{i}({x} cup {y}): table gives "
+                                f"{_shown(m, a)}, Cartan sum gives {_shown(m, b)}")
 
     # Adem relations Sq^a Sq^b u for 1 <= a < 2b and a + b <= top; both
     # sides vanish for b > deg u, since then Sq^b u = 0 and Sq^x Sq^y u
