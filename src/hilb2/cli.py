@@ -1,14 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 input error (unreadable file, malformed descriptor,
-unknown name, bad flags), 2 mathematical failure or axiom violation,
-3 method disagreement in betti --method both.
+unknown name, bad flags) or a stdout its reader closed, 2 mathematical
+failure or axiom violation, 3 method disagreement in betti --method both.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
+from contextlib import suppress
 
 import hilb2  # reads betti, exdiv, kernel, verify; each loads on first use
 from . import spaces
@@ -245,7 +247,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            code = args.func(args)
+        except spaces.InvalidDescriptor as exc:
+            _print_report(exc.report, vars(args).get("json", False)
+                          or vars(args).get("format") == "json")
+            code = 2
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: write nothing more
+        with suppress(OSError):  # devnull takes the flush at exit; a StringIO has no fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (_InputError, OSError, DescriptorError) as exc:
         # OSError: an input that cannot be read, an -o that cannot be written
         print(f"error: {exc}", file=sys.stderr)
@@ -255,10 +268,6 @@ def main(argv=None) -> int:
         print("error: out of memory: this input needs more memory than is "
               "available", file=sys.stderr)
         return 1
-    except spaces.InvalidDescriptor as exc:  # raised only once args is bound
-        _print_report(exc.report, vars(args).get("json", False)
-                      or vars(args).get("format") == "json")
-        return 2
     # evaluated only once an exception gets here, so betti loads only then
     except (Sq1NotZero, hilb2.betti.TorsionFlagRequired,
             hilb2.betti.NegativeRank) as exc:

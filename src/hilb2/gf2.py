@@ -11,7 +11,8 @@ already have distinct leading bits, such as the triangular kernel ladders,
 become pivots without a single XOR. Its pivots count the rank, and their
 leading bits are exactly the leading bits of the nonzero elements of the
 span. Its grouped rank, span_dims_by_degree, serves the loader's rank
-checks; the kernel groups its generators by degree and reduces each alone.
+checks; the kernel groups its generators by degree and reduces each alone;
+steenrod.validate reduces the stored products to find the ring generators.
 """
 
 from collections.abc import Iterable

@@ -35,18 +35,19 @@ through the stored table only.
 
 Validation visits only the stored squares and cup entries, not (2n)^3 or
 the basis, though a stored mask that holds class i is i + 1 bits wide. The
-square rule and Adem checks visit only the classes with a stored row; the
-Adem check on u tries Sq^a Sq^b u by total degree, where some Sq^x Sq^y u
-is nonzero. The Cartan check is one pass over the stored products that
-covers every pair of classes but the unit, stored or not. Its cost, the
-number of Cartan terms, is counted first: above CARTAN_BUDGET times the
+Cartan check is one pass over the stored products that covers every pair
+of classes but the unit, stored or not; above CARTAN_BUDGET times the
 terms the stored pairs can have, it reports one FAIL instead of running.
+The square rule visits the classes with a stored row, and Adem only the
+ring generators among them: the Adem ideal is a Hopf ideal (Milnor, 1958),
+so Cartan on every pair carries Adem from lower degrees to the products.
 """
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import comb
 
+from .gf2 import pivots
 from .report import FAIL, NOTE, Report
 
 
@@ -255,7 +256,7 @@ def validate(m: UnstableModule) -> Report:
     Pure and idempotent. The report carries one entry per violation, plus a
     note for each check that had to be skipped. No failures means valid.
     """
-    rep = Report()
+    rep, leads = Report(), {}  # leads: leading bit -> pivot of the products
     rows: dict[int, list] = {}  # class i -> [(k, Sq^k x_i)], 1 <= k <= deg x_i
     reach: dict[int, list] = {}  # class z -> [(z, 0)] + [(x, j): z in Sq^j x in rows]
     for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
@@ -308,9 +309,10 @@ def validate(m: UnstableModule) -> Report:
         # cancel). A stored pair x, y gets at most 2(1 + |Sq x|)(1 + |Sq y|)
         # terms, |Sq x| the classes in x's squares; the rest, on absent pairs,
         # must cancel. So the terms are counted first, against that bound
-        products = [(p, reach.get(z) or [(z, 0)], reach.get(w) or [(w, 0)], z == w)
+        products = [(p, reach.get(z) or [(z, 0)], reach.get(w) or [(w, 0)], z, w)
                     for z, w in m.cup if (p := m._product(z, w))]
-        terms = sum(len(zs) * len(ws) for _, zs, ws, _ in products)
+        terms = sum(len(zs) * len(ws) for _, zs, ws, _, _ in products)
+        leads = pivots(p for p, _, _, z, w in products if m.basis[z][1] and m.basis[w][1])
         width = {i: 1 + sum(v.bit_count() for _, v in row) for i, row in rows.items()}
         own = sum(width.get(x, 1) * width.get(y, 1) for x, y in m.cup)
         if terms > CARTAN_BUDGET * own:
@@ -318,10 +320,10 @@ def validate(m: UnstableModule) -> Report:
                     f"{CARTAN_BUDGET} times the {own} of the stored pairs; check not run")
         else:
             sums: dict[tuple[int, int], dict[int, int]] = {}
-            for p, zs, ws, same in products:
+            for p, zs, ws, z, w in products:
                 for x, j in zs:
                     for y, k in ws:
-                        if j + k and (x <= y if same else x != y):
+                        if j + k and (x <= y if z == w else x != y):
                             row = sums.setdefault((x, y) if x < y else (y, x), {})
                             row[j + k] = row.get(j + k, 0) ^ p
             unit = m._unit_bit.bit_length() - 1  # its pairs are not checked
@@ -334,16 +336,18 @@ def validate(m: UnstableModule) -> Report:
                         rep.add("cartan", FAIL, f"Sq^{i}({x} cup {y}): table gives "
                                 f"{_shown(m, a)}, Cartan sum gives {_shown(m, b)}")
 
-    # Adem relations Sq^a Sq^b u for 1 <= a < 2b and a + b <= top; both
-    # sides vanish for b > deg u, since then Sq^b u = 0 and Sq^x Sq^y u
-    # with x + y = a + b and y < b has x > deg u + y. Each side is a sum of
-    # values Sq^x Sq^y u with x + y = s = a + b: the left one and the terms
-    # (s - c, c), 2c <= a. So only the totals s of nonzero values are tried,
-    # each with every a, max(1, s - deg u) <= a <= (2s - 1) // 3; a relation
-    # whose values are all zero passes, so trying it adds no FAIL.
+    # Adem relations Sq^a Sq^b u, 1 <= a < 2b and s = a + b <= top, on the
+    # generators u with a row (without one, Sq^x Sq^y u = 0): those that lead
+    # no pivot of the products of positive-degree classes. The Adem ideal is
+    # a Hopf ideal, so under Cartan R(yz) is R(y) z + y R(z) plus terms that
+    # apply relations of total < s; by induction on s and the degree, Adem on
+    # the generators gives it on every class. Both sides vanish for b > deg u,
+    # as Sq^b u = 0 and Sq^x Sq^y u with x + y = s, y < b has x > deg u + y.
+    # Each side sums values Sq^x Sq^y u of total s, so only the totals of
+    # nonzero values can fail, each with max(1, s - deg u) <= a <= (2s - 1) // 3.
     adem = []
-    for i, row in rows.items():  # no row: every Sq^x Sq^y u is 0
-        name, deg = m.basis[i]
+    for i in rows.keys() - {bit - 1 for bit in leads}:
+        row, (name, deg) = rows[i], m.basis[i]
         # (x, y) -> Sq^x Sq^y u, nonzero values only
         twice = {(x, 0): v for x, v in row}
         twice.update(((x, y), r) for y, v in row

@@ -12,6 +12,7 @@ import hilb2
 from hilb2 import (BettiTable, catalog_names, catalog_text, descriptor_to_json,
                    load_descriptor)
 from hilb2 import cli
+from hilb2.catalog import _projective
 
 
 def run(argv, capsys):
@@ -532,3 +533,54 @@ def test_console_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0:1 1:1 2:2 3:2 4:12 5:1"
+
+
+def _many_sq1_faults(count):
+    """Noncompact, n = 1: count degree-1 classes with Sq^1 c_i = 1, so its
+    report has count degree-shift FAIL lines."""
+    names = [f"c{i}" for i in range(count)]
+    return {"name": "many", "complex_dimension": 1, "compact": False,
+            "classes": [{"name": "1", "degree": 0}]
+                       + [{"name": c, "degree": 1} for c in names],
+            "sq": [{"k": 1, "from": c, "to": ["1"]} for c in names]}
+
+
+@pytest.mark.parametrize("argv, first", [
+    # the report of a descriptor that fails to load, and a command's output
+    (["validate", "many.json"],
+     "[fail] degree-shift: Sq^1 c0 contains 1 of degree 0, expected degree 2\n"),
+    (["betti", "tall.json", "--space", "x", "--format", "csv"], "degree,dimension\n"),
+])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, argv, first):
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # each output is megabytes, far more than a pipe buffers
+    write_descriptor(tmp_path, _many_sq1_faults(30_000), "many.json")
+    write_descriptor(tmp_path, descriptor_obj(n=100_000, degrees=[0, 200_000]),
+                     "tall.json")
+    src = os.path.dirname(os.path.dirname(hilb2.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.Popen([sys.executable, "-m", "hilb2.cli", *argv],
+                            cwd=tmp_path, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
+
+
+def test_an_adem_plant_on_a_decomposable_class_still_exits_two(tmp_path, capsys):
+    # P^6 without Sq^6 h3 = h6 breaks Adem on the product h3 = h h2, which
+    # validate reports through the square rule and Cartan
+    p6 = json.loads(_projective(6))
+    p6["sq"] = [e for e in p6["sq"] if (e["k"], e["from"]) != (6, "h3")]
+    assert run(["validate", write_descriptor(tmp_path, p6)], capsys) == (2, (
+        "[fail] square-rule: Sq^6 h3 = 0 but h3 cup h3 = {'h6'}\n"
+        "[fail] cartan: Sq^6(h cup h2): table gives 0, Cartan sum gives {'h6'}\n"),
+        "")
