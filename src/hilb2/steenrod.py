@@ -9,7 +9,7 @@ properties in its instance __dict__. The axioms checked by validate():
   instability    Sq^k u = 0 for k > deg(u)
   square rule    Sq^(deg u) u = u cup u            (needs the cup table)
   Cartan         Sq^i(x y) = sum_j Sq^j(x) Sq^(i-j)(y)   (needs the cup table)
-  Adem           Sq^a Sq^b for a < 2b expands as the usual sum
+  Adem           Sq^a Sq^b = sum_c C(b-c-1, a-2c) Sq^(a+b-c) Sq^c for a < 2b
 
 Class i of the basis is bit i of an int mask, and a vector is a plain
 (degree, mask) pair, the mask of its classes; (m, 0) is the zero vector of
@@ -39,13 +39,13 @@ Cartan check is one pass over the stored products that covers every pair
 of classes but the unit, stored or not; above CARTAN_BUDGET times the
 terms the stored pairs can have, it reports one FAIL instead of running.
 The square rule visits the classes with a stored row, and Adem only the
-ring generators among them: the Adem ideal is a Hopf ideal (Milnor, 1958),
-so Cartan on every pair carries Adem from lower degrees to the products.
+ring generators among them, as the Adem ideal is a Hopf ideal (Milnor,
+1958); a relation of total s sums the stored values of s whose coefficient
+is odd, a bit test by Lucas's theorem (_adem_odd), with no memo.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
-from math import comb
+from functools import cached_property
 
 from .gf2 import pivots
 from .report import FAIL, NOTE, Report
@@ -217,14 +217,12 @@ def adem_expand(a: int, b: int) -> list[tuple[int, int]]:
     """
     if a < 1 or a >= 2 * b:
         raise ValueError(f"Sq^{a} Sq^{b} is not an admissible left side (need 1 <= a < 2b)")
-    return list(_adem_terms(a, b))
+    return [(a + b - c, c) for c in range(a // 2 + 1) if _adem_odd(a, b, c)]
 
 
-@lru_cache(maxsize=1 << 12)
-def _adem_terms(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """adem_expand(a, b) as a tuple, memoized for the whole process."""
-    return tuple((a + b - c, c) for c in range(a // 2 + 1)
-                 if comb(b - c - 1, a - 2 * c) % 2)
+def _adem_odd(a: int, b: int, c: int) -> bool:
+    """Whether Sq^(a+b-c) Sq^c has the odd coefficient C(b-c-1, a-2c) in Sq^a Sq^b."""
+    return 2 * c <= a and (a - 2 * c) & ~(b - c - 1) == 0
 
 
 def _shown(m: UnstableModule, mask: int) -> str:
@@ -257,14 +255,14 @@ def validate(m: UnstableModule) -> Report:
     note for each check that had to be skipped. No failures means valid.
     """
     rep, leads = Report(), {}  # leads: leading bit -> pivot of the products
-    rows: dict[int, list] = {}  # class i -> [(k, Sq^k x_i)], 1 <= k <= deg x_i
+    rows: dict[int, dict] = {}  # class i -> {k: Sq^k x_i}, 1 <= k <= deg x_i
     reach: dict[int, list] = {}  # class z -> [(z, 0)] + [(x, j): z in Sq^j x in rows]
     for k, i, mask in sorted((k, i, mask) for i, row in m.sq.items()
                              for k, mask in row.items()):
         u, du = m.basis[i]
         stable = k <= du
         if stable:
-            rows.setdefault(i, []).append((k, mask))
+            rows.setdefault(i, {})[k] = mask
         for j in _bits(mask):
             t, dt = m.basis[j]
             if stable:
@@ -281,9 +279,8 @@ def validate(m: UnstableModule) -> Report:
         rep.add("square-rule", NOTE, "no cup table stored; check skipped")
         rep.add("cartan", NOTE, "no cup table stored; check skipped")
     else:
-        # both sides vanish unless u cup u or Sq^(deg u) u, the last square
-        # of its row, is stored
-        for i in sorted({i for i in rows if rows[i][-1][0] == m.basis[i][1]}
+        # both sides vanish unless u cup u or Sq^(deg u) u is stored
+        for i in sorted({i for i, row in rows.items() if m.basis[i][1] in row}
                         | {i for i, j in m.cup if i == j}):
             name, deg = m.basis[i]
             if deg < 1:
@@ -313,7 +310,7 @@ def validate(m: UnstableModule) -> Report:
                     for z, w in m.cup if (p := m._product(z, w))]
         terms = sum(len(zs) * len(ws) for _, zs, ws, _, _ in products)
         leads = pivots(p for p, _, _, z, w in products if m.basis[z][1] and m.basis[w][1])
-        width = {i: 1 + sum(v.bit_count() for _, v in row) for i, row in rows.items()}
+        width = {i: 1 + sum(v.bit_count() for v in row.values()) for i, row in rows.items()}
         own = sum(width.get(x, 1) * width.get(y, 1) for x, y in m.cup)
         if terms > CARTAN_BUDGET * own:
             rep.add("cartan", FAIL, f"the Cartan sums have {terms} terms, over "
@@ -343,23 +340,25 @@ def validate(m: UnstableModule) -> Report:
     # apply relations of total < s; by induction on s and the degree, Adem on
     # the generators gives it on every class. Both sides vanish for b > deg u,
     # as Sq^b u = 0 and Sq^x Sq^y u with x + y = s, y < b has x > deg u + y.
-    # Each side sums values Sq^x Sq^y u of total s, so only the totals of
-    # nonzero values can fail, each with max(1, s - deg u) <= a <= (2s - 1) // 3.
+    # Each side sums nonzero values Sq^(s-c) Sq^c u of total s, so only their
+    # totals can fail, each with max(1, s - deg u) <= a <= (2s - 1) // 3; the
+    # right side sums those with _adem_odd(a, b, c), with no memo.
     adem = []
     for i in rows.keys() - {bit - 1 for bit in leads}:
         row, (name, deg) = rows[i], m.basis[i]
-        # (x, y) -> Sq^x Sq^y u, nonzero values only
-        twice = {(x, 0): v for x, v in row}
-        twice.update(((x, y), r) for y, v in row
-                     for x, r in _squares_of(m.sq, v, deg + y).items() if r)
-        for total in {x + y for x, y in twice if x + y <= m.top_degree}:
+        totals: dict[int, dict[int, int]] = {}  # s <= top -> {y: Sq^(s-y) Sq^y u}
+        for y, v in [(0, 1 << i), *row.items()]:  # Sq^y u, u itself for y = 0
+            squares = row if y == 0 else _squares_of(m.sq, v, deg + y)
+            for x, r in squares.items():
+                if r and x + y <= m.top_degree:
+                    totals.setdefault(x + y, {})[y] = r
+        for total, values in totals.items():
             for a in range(max(1, total - deg), (2 * total - 1) // 3 + 1):
                 b = total - a
-                left = twice.get((a, b), 0)
                 right = 0
-                for term in _adem_terms(a, b):
-                    right ^= twice.get(term, 0)
-                if left != right:
+                for c, v in values.items():
+                    right ^= v if _adem_odd(a, b, c) else 0
+                if (left := values.get(b, 0)) != right:
                     adem.append((b, a, i, f"Sq^{a} Sq^{b} {name} = {_shown(m, left)} "
                                           f"but the Adem expansion gives {_shown(m, right)}"))
     for *_, message in sorted(adem):

@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -230,7 +231,7 @@ def test_connectedness_enforced():
     assert failures(n=1, degrees=[1, 2]) == [
         ("connectedness", "expected exactly one degree-0 class, found 0"),
         ("compactness-symmetry",
-         "mod-2 Betti numbers (0, 1, 1) are not palindromic")]
+         "mod-2 Betti numbers are not palindromic: b_0 = 0 but b_2 = 1")]
 
 
 def test_degree_range_enforced():
@@ -257,7 +258,7 @@ def test_compactness_needs_palindromic_row_and_unique_top():
         ("compactness-symmetry",
          "compact descriptor needs exactly one class in degree 4"),
         ("compactness-symmetry",
-         "mod-2 Betti numbers (1, 0, 1, 0, 0) are not palindromic")]
+         "mod-2 Betti numbers are not palindromic: b_0 = 1 but b_4 = 0")]
     assert failures(n=2, degrees=[2]) == [  # neither a unit nor a top class
         ("connectedness", "expected exactly one degree-0 class, found 0"),
         ("compactness-symmetry",
@@ -265,6 +266,25 @@ def test_compactness_needs_palindromic_row_and_unique_top():
     # the same rows load fine as noncompact data
     d = make_descriptor(n=2, degrees=[0, 2], compact=False)
     assert not d.compact
+
+
+def test_a_lopsided_row_names_its_degrees_without_the_dense_row():
+    # classes 1, a in degree 1 and top in degree 2n: the FAIL names b_1 and
+    # b_(2n-1) only, so its size and its memory do not follow n
+    assert failures(n=3, degrees=[0, 1, 2, 6]) == [(  # row 1,1,1,0,0,0,1
+        "compactness-symmetry",
+        "mod-2 Betti numbers are not palindromic: b_1 = 1 but b_5 = 0, "
+        "b_2 = 1 but b_4 = 0")]
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        found = failures(n=n, degrees=[0, 1, 2 * n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == [("compactness-symmetry", "mod-2 Betti numbers are not "
+                      f"palindromic: b_1 = 1 but b_{2 * n - 1} = 0")]
+    assert peak < 1_000_000, peak
 
 
 def test_torsion_flag_implication_enforced():
@@ -385,8 +405,10 @@ def test_interleaved_degrees_are_counted_class_by_class(kw):
         expected.append(("compactness-symmetry", "compact descriptor needs "
                          "exactly one class in degree 4"))
     if row != row[::-1]:
+        pairs = ", ".join(f"b_{k} = {row[k]} but b_{4 - k} = {row[4 - k]}"
+                          for k in range(3) if row[k] != row[4 - k])
         expected.append(("compactness-symmetry",
-                         f"mod-2 Betti numbers {row} are not palindromic"))
+                         f"mod-2 Betti numbers are not palindromic: {pairs}"))
     elif len(kw.get("cup", ())) == 1:  # one of two degree-2 classes pairs
         expected.append(("cup-pairing", "the cup pairing H^2 x H^2 -> H^4 "
                          f"has rank 1, not b_2 = {counts[2]}; Poincare "

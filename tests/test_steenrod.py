@@ -1,5 +1,6 @@
 """Steenrod action on a named basis: sq, Adem expansion, and the validator."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from conftest import make_descriptor, parse_only
 from hilb2 import catalog_get, catalog_names, catalog_text, exdiv, steenrod
 from hilb2.report import FAIL, NOTE, Entry, Report
-from hilb2.spaces import descriptor_to_json, parse_descriptor
+from hilb2.spaces import (InvalidDescriptor, descriptor_to_json, load_descriptor,
+                          parse_descriptor)
 from hilb2.steenrod import (
     UnknownClass,
     UnstableModule,
@@ -192,6 +194,15 @@ def test_adem_expansions_hold_on_a_product_of_real_projective_spaces():
         for c, d in terms:
             right ^= _sq_poly(c, _sq_poly(d, u))
         assert _sq_poly(a, _sq_poly(b, u)) == right, (a, b, terms)
+
+
+def test_adem_expand_matches_the_binomial_coefficients():
+    # every left side with b <= 128, against C(b-c-1, a-2c) mod 2 computed
+    # by math.comb, which hilb2 does not use
+    for b in range(1, 129):
+        for a in range(1, 2 * b):
+            assert adem_expand(a, b) == [(a + b - c, c) for c in range(a // 2 + 1)
+                                         if comb(b - c - 1, a - 2 * c) % 2], (a, b)
 
 
 def test_adem_expand_returns_a_list_of_its_own():
@@ -414,6 +425,45 @@ def test_a_product_with_a_degree_0_factor_leaves_a_generator(cup):
     assert rep.entries == dense_validate(m).entries
 
 
+def top_square(d):
+    """Compact, n = d: u in degree d and top in degree 2d, with Sq^d u =
+    u cup u = top. Sq^d is indecomposable, so Adem holds, exactly when d is a
+    power of 2; for d = 1, Sq^1 into the top degree breaks orientability."""
+    return {"name": f"sq{d}", "complex_dimension": d, "compact": True,
+            "classes": [{"name": "1", "degree": 0}, {"name": "u", "degree": d},
+                        {"name": "top", "degree": 2 * d}],
+            "sq": [{"k": d, "from": "u", "to": ["top"]}],
+            "cup": [{"a": "u", "b": "u", "result": ["top"]}]}
+
+
+def test_the_top_square_loads_exactly_at_powers_of_2():
+    loaded = []
+    for d in range(1, 17):
+        text = json.dumps(top_square(d))
+        m = parse_descriptor(text).module
+        assert reference_mismatch(validate(m), dense_validate(m)) is None, d
+        try:
+            load_descriptor(text)
+        except InvalidDescriptor as exc:
+            checks = {e.check for e in exc.report.failures}
+            assert checks == {"orientability" if d == 1 else "adem"}, d
+        else:
+            loaded.append(d)
+    assert loaded == [2, 4, 8, 16]
+
+
+def test_an_adem_relation_costs_the_stored_values_of_its_total(monkeypatch):
+    # the one total with a value is n, holding Sq^n u alone, so each of the
+    # (2n - 1) // 3 relations of that total makes one coefficient test
+    calls = []
+    odd = steenrod._adem_odd
+    monkeypatch.setattr(steenrod, "_adem_odd",
+                        lambda *args: calls.append(args) or odd(*args))
+    n = 1 << 16
+    load_descriptor(json.dumps(top_square(n)))  # raises on a FAIL
+    assert len(calls) == (2 * n - 1) // 3
+
+
 # Reference: the dense validator, which forms both sides of the Cartan
 # formula on every pair x <= y of classes other than the unit, stored in the
 # cup table or not, for every i <= deg x + deg y and every j <= i, with each
@@ -592,6 +642,21 @@ def reference_mismatch(rep, ref):
     if len(mine) < len(theirs) and "cartan" not in {e.check for e in rep.failures}:
         return "adem entries are dropped without a cartan FAIL"
     return None
+
+
+def test_validate_reports_on_2000_mutants_are_pinned():
+    # the SHA-256 of validate's entries on mutant seeds 0-1999, one JSON line
+    # per seed, as recorded when the Adem coefficients were still expanded
+    # through math.comb; 169 of the reports hold an adem FAIL. A change that
+    # alters a report on purpose records the new digest
+    digest, with_adem = hashlib.sha256(), 0
+    for seed in range(2000):
+        rep = validate(mutant(random.Random(seed)).module)
+        digest.update(json.dumps([list(e) for e in rep.entries]).encode() + b"\n")
+        with_adem += "adem" in {e.check for e in rep.failures}
+    assert with_adem == 169
+    assert digest.hexdigest() == (
+        "c3d541d4a98f0efc3f229c0621caeb2fc689c58753b4e40a9939fef97df3a56c")
 
 
 def test_the_reference_contract_sees_each_kind_of_mismatch():
